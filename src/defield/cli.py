@@ -88,6 +88,14 @@ class PipelineConfig:
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
+def _parse(kind, text: str, where: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(
+            f"{where}: expected {kind.__name__}, got {text!r}") from None
+
+
 def load_config(path=None, overrides=None) -> PipelineConfig:
     """Defaults, then `key value` lines from path, then CLI overrides."""
     values = {}
@@ -102,7 +110,8 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
                 if key not in types or not value.strip():
                     raise ValidationError(
                         f"{path}:{lineno}: bad config line {line!r}")
-                values[key] = types[key](value.strip())
+                values[key] = _parse(types[key], value.strip(),
+                                     f"{path}:{lineno}: {key}")
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
@@ -128,7 +137,7 @@ def _workers(cfg: PipelineConfig) -> int:
     cap = os.environ.get("DEFIELD_THREADS")
     workers = cfg.workers
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        workers = min(workers, max(1, _parse(int, cap, "DEFIELD_THREADS")))
     return workers
 
 

@@ -14,7 +14,13 @@ and A = G*(mbar fbar), B = G*(mbar^2), C = G*(fbar^2). The update is the
 average of the forward force and the sign-flipped backward force, fluid
 smoothing is applied to the update and diffusion smoothing to the velocity,
 and a step is accepted only if the symmetric similarity energy does not
-decrease (the per-level step is halved otherwise).
+decrease. Otherwise the per-level step is halved, and the level ends once
+the halved step falls below MIN_STEP_FRACTION * step_scale.
+
+Each level state computes its symmetric energy once, and builds its
+smoothed update direction at most once from the same local statistics: a
+rejection only rescales the cached direction, and the returned transform
+reuses the final state's exponentials and warped source.
 """
 from __future__ import annotations
 
@@ -33,15 +39,17 @@ from .grids import (
     Volume,
     _smooth_array,
     downsample2,
-    index_coords,
     require_same_geometry,
     upsample_field,
-    warp_volume,
 )
 from scipy import ndimage
 
 # local-variance floor, as a fraction of the global intensity variance
 VARIANCE_FLOOR = 1e-6
+# a level ends once the halved step falls below this fraction of step_scale;
+# on the phantom pairs checked no step below it was ever accepted, so it
+# only drops rejected halvings
+MIN_STEP_FRACTION = 1.0 / 16
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,7 @@ def exp_velocity(v: VectorField, exp_steps: int) -> VectorField:
     voxel (see auto_exp_steps)."""
     if exp_steps < 1:
         raise ValidationError("exp_steps must be >= 1")
-    d = (v.data / float(2 ** exp_steps)).astype(np.float32)
-    for _ in range(exp_steps):
-        d = _compose_arrays(d, d)
-    return VectorField(v.geometry, d)
+    return VectorField(v.geometry, _exp_array(v.data, exp_steps))
 
 
 def auto_exp_steps(max_norm: float, minimum: int = 1) -> int:
@@ -165,39 +170,30 @@ def invert(t: SymmetricTransform) -> SymmetricTransform:
     )
 
 
-def _local_stats(m: np.ndarray, f: np.ndarray, sigma: float):
+def _lcc(m, f, sigma, eps_m, eps_f):
+    """Mean squared local correlation of m against f, and the local
+    statistics (mbar, fbar, A, B, C, valid) that its force needs."""
     mbar = m - _smooth_array(m, sigma)
     fbar = f - _smooth_array(f, sigma)
     a = _smooth_array(mbar * fbar, sigma)
     b = _smooth_array(mbar * mbar, sigma)
     c = _smooth_array(fbar * fbar, sigma)
-    return mbar, fbar, a, b, c
-
-
-def _lcc_energy(m, f, sigma, eps_m, eps_f) -> float:
-    _, _, a, b, c = _local_stats(m, f, sigma)
     valid = (b > eps_m) & (c > eps_f)
     rho2 = np.zeros_like(a)
     np.divide(a * a, b * c, out=rho2, where=valid)
     np.clip(rho2, 0.0, 1.0, out=rho2)
-    return float(rho2.mean(dtype=np.float64))
+    return float(rho2.mean(dtype=np.float64)), (mbar, fbar, a, b, c, valid)
 
 
-def _lcc_energy_force(m, f, sigma, eps_m, eps_f):
-    mbar, fbar, a, b, c = _local_stats(m, f, sigma)
-    valid = (b > eps_m) & (c > eps_f)
-    rho2 = np.zeros_like(a)
-    np.divide(a * a, b * c, out=rho2, where=valid)
-    np.clip(rho2, 0.0, 1.0, out=rho2)
-    energy = float(rho2.mean(dtype=np.float64))
+def _lcc_force(stats, sigma) -> np.ndarray:
+    mbar, fbar, a, b, c, valid = stats
     r1 = np.zeros_like(a)
     np.divide(a, b * c, out=r1, where=valid)
     r2 = np.zeros_like(a)
     np.divide(a * a, b * b * c, out=r2, where=valid)
     k = 2.0 * (fbar * _smooth_array(r1, sigma) - mbar * _smooth_array(r2, sigma))
     grads = np.gradient(mbar, axis=(0, 1, 2))
-    force = np.stack([(-k * grads[axis]).astype(np.float32) for axis in range(3)])
-    return energy, force
+    return np.stack([(-k * grads[axis]).astype(np.float32) for axis in range(3)])
 
 
 def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
@@ -211,19 +207,38 @@ def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
         raise ValidationError("lcc_sigma must be > 0")
     eps_a = VARIANCE_FLOOR * float(a.data.var(dtype=np.float64))
     eps_b = VARIANCE_FLOOR * float(b.data.var(dtype=np.float64))
-    return _lcc_energy(a.data, b.data, lcc_sigma, eps_a, eps_b)
+    return _lcc(a.data, b.data, lcc_sigma, eps_a, eps_b)[0]
 
 
 class _LevelState:
-    """Velocity plus its exponentials and warped images at one level."""
+    """Velocity plus its exponentials, warped images and symmetric energy
+    at one level; the local statistics are kept only until the update
+    direction is built from them."""
 
-    def __init__(self, v, source, target, params):
+    def __init__(self, v, source, target, params, eps_s, eps_t):
         self.v = v
+        self.params = params
         steps = auto_exp_steps(_max_norm(v), params.exp_steps)
         self.fwd = _exp_array(v, steps)
         self.bwd = _exp_array(-v, steps)
         self.warped_src = _warp_array(source, self.fwd)
         self.warped_tgt = _warp_array(target, self.bwd)
+        sigma = params.lcc_sigma
+        e_f, self._stats_f = _lcc(self.warped_src, target, sigma, eps_s, eps_t)
+        e_b, self._stats_b = _lcc(self.warped_tgt, source, sigma, eps_t, eps_s)
+        self.energy = 0.5 * (e_f + e_b)
+        self._direction = None
+
+    def direction(self) -> tuple[np.ndarray, float]:
+        """Fluid-smoothed symmetric force d and max_norm(d), built once."""
+        if self._direction is None:
+            sigma = self.params.lcc_sigma
+            u = 0.5 * (_lcc_force(self._stats_f, sigma)
+                       - _lcc_force(self._stats_b, sigma))
+            u = _smooth_field_array(u, self.params.fluid_sigma)
+            self._direction = u, _max_norm(u)
+            self._stats_f = self._stats_b = None
+        return self._direction
 
 
 def _max_norm(arr: np.ndarray) -> float:
@@ -274,75 +289,59 @@ def register(source: Volume, target: Volume,
     pyr_tgt.reverse()
 
     trace = ConvergenceTrace()
-    v = None
+    state = None
     for level, (src_l, tgt_l) in enumerate(zip(pyr_src, pyr_tgt)):
         geom = src_l.geometry
-        if v is None:
+        if state is None:
             v = np.zeros((3, *geom.dims), dtype=np.float32)
         else:
-            v = upsample_field(VectorField(prev_geom, v), geom).data.copy()
+            v = upsample_field(VectorField(prev_geom, state.v), geom).data.copy()
         prev_geom = geom
 
         s_arr = src_l.data
         t_arr = tgt_l.data
         eps_s = VARIANCE_FLOOR * float(s_arr.var(dtype=np.float64))
         eps_t = VARIANCE_FLOOR * float(t_arr.var(dtype=np.float64))
-        sigma = params.lcc_sigma
 
-        state = _LevelState(v, s_arr, t_arr, params)
+        state = _LevelState(v, s_arr, t_arr, params, eps_s, eps_t)
         # coarse-level velocities that do not beat the identity are discarded
         if level > 0 and _max_norm(v) > 0:
-            e_carried = 0.5 * (
-                _lcc_energy(state.warped_src, t_arr, sigma, eps_s, eps_t)
-                + _lcc_energy(state.warped_tgt, s_arr, sigma, eps_t, eps_s))
-            e_zero = _lcc_energy(s_arr, t_arr, sigma, eps_s, eps_t)
-            if e_carried < e_zero:
-                v = np.zeros_like(v)
-                state = _LevelState(v, s_arr, t_arr, params)
+            e_zero, _ = _lcc(s_arr, t_arr, params.lcc_sigma, eps_s, eps_t)
+            if state.energy < e_zero:
+                state = _LevelState(np.zeros_like(v), s_arr, t_arr, params,
+                                    eps_s, eps_t)
 
         step = params.step_scale
-        e_cur = None
         for iteration in range(params.iterations_per_level):
-            e_f, f_f = _lcc_energy_force(state.warped_src, t_arr, sigma, eps_s, eps_t)
-            e_b, f_b = _lcc_energy_force(state.warped_tgt, s_arr, sigma, eps_t, eps_s)
-            if e_cur is None:
-                e_cur = 0.5 * (e_f + e_b)
-            u = 0.5 * (f_f - f_b)
-            u = _smooth_field_array(u, params.fluid_sigma)
-            umax = _max_norm(u)
-            if umax < 1e-12:
+            d, dmax = state.direction()
+            if dmax < 1e-12:
                 break
-            u *= step / umax
-            v_cand = _smooth_field_array(v + u, params.diffusion_sigma).astype(np.float32)
-            cand = _LevelState(v_cand, s_arr, t_arr, params)
-            e_cand = 0.5 * (
-                _lcc_energy(cand.warped_src, t_arr, sigma, eps_s, eps_t)
-                + _lcc_energy(cand.warped_tgt, s_arr, sigma, eps_t, eps_s))
-            accepted = e_cand >= e_cur - 1e-12
+            v_cand = _smooth_field_array(state.v + d * (step / dmax),
+                                         params.diffusion_sigma).astype(np.float32)
+            cand = _LevelState(v_cand, s_arr, t_arr, params, eps_s, eps_t)
+            accepted = cand.energy >= state.energy - 1e-12
             trace.append(TraceEntry(level, iteration,
-                                    e_cand if accepted else e_cur,
+                                    cand.energy if accepted else state.energy,
                                     step, accepted))
             if accepted:
-                rel = abs(e_cand - e_cur) / max(abs(e_cur), 1e-12)
-                v, state, e_cur = v_cand, cand, e_cand
+                rel = abs(cand.energy - state.energy) / max(abs(state.energy), 1e-12)
+                state = cand
                 if rel < params.convergence_tol:
                     break
             else:
                 step *= 0.5
-                if step < 1e-3 * params.step_scale:
+                if step < MIN_STEP_FRACTION * params.step_scale:
                     break
 
     geometry = source.geometry
-    velocity = VectorField(geometry, v)
-    steps = auto_exp_steps(_max_norm(v), params.exp_steps)
     transform = SymmetricTransform(
-        velocity,
-        VectorField(geometry, _exp_array(v, steps)),
-        VectorField(geometry, _exp_array(-v, steps)),
+        VectorField(geometry, state.v),
+        VectorField(geometry, state.fwd),
+        VectorField(geometry, state.bwd),
     )
     # contract: never worse than the identity alignment
     sim_before = lcc_similarity(source, target, params.lcc_sigma)
-    sim_after = lcc_similarity(warp_volume(source, transform.forward), target,
+    sim_after = lcc_similarity(Volume(geometry, state.warped_src), target,
                                params.lcc_sigma)
     if sim_after < sim_before:
         zero = VectorField.zero(geometry)

@@ -183,6 +183,28 @@ def test_invariant_violation_error_record(tmp_path, capsys):
     assert "constant" in record["message"]
 
 
+def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys):
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text("workers abc\n")
+    code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
+                 "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert "workers" in record["message"]
+
+
+def test_non_numeric_threads_env_is_invalid_input(phantom_dir, tmp_path,
+                                                  capsys, monkeypatch):
+    monkeypatch.setenv("DEFIELD_THREADS", "abc")
+    code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert "DEFIELD_THREADS" in record["message"]
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "pipeline.cfg"
     cfg_file.write_text(

@@ -14,8 +14,10 @@ from defield.grids import (
     index_coords,
     warp_volume,
 )
+from defield import registration
 from defield.phantom import RadialComponent, RadialMap, blob_volume, pullback_field
 from defield.registration import (
+    MIN_STEP_FRACTION,
     ConvergenceTrace,
     RegistrationParams,
     SymmetricTransform,
@@ -232,6 +234,13 @@ class TestRegister:
         assert len(trace.entries) <= params.pyramid_levels * params.iterations_per_level
         assert all(math.isfinite(e.energy) for e in trace.entries)
 
+    def test_step_floor_ends_levels(self, blob_registration):
+        *_, params, transform, trace = blob_registration
+        floor = MIN_STEP_FRACTION * params.step_scale
+        assert all(e.max_update >= floor for e in trace.entries)
+        # the rule is exercised: some level ends on a rejection at the floor
+        assert any(not e.accepted and e.max_update == floor for e in trace.entries)
+
     def test_swapped_inputs_negate_velocity(self, blob_registration):
         g, source, target, gt, params, transform, trace = blob_registration
         reverse, _ = register(target, source, params)
@@ -250,6 +259,37 @@ class TestRegister:
                                                    iterations_per_level=10))
         mean_j = jacobian_map(transform.forward).data.mean(dtype=np.float64)
         assert 0.9 <= mean_j <= 1.1
+
+
+def test_register_work_counts(monkeypatch):
+    """Each iteration builds one candidate (one forward + backward
+    exponential pair); forces are built once per state that proposes a
+    step, never again after a rejection; the result adds no exponentials."""
+    counts = {"exp": 0, "force": 0}
+    exp_array, lcc_force = registration._exp_array, registration._lcc_force
+
+    def counted_exp(*args):
+        counts["exp"] += 1
+        return exp_array(*args)
+
+    def counted_force(*args):
+        counts["force"] += 1
+        return lcc_force(*args)
+
+    monkeypatch.setattr(registration, "_exp_array", counted_exp)
+    monkeypatch.setattr(registration, "_lcc_force", counted_force)
+    center = (11.5, 11.5, 11.5)
+    source = blob_volume(G24, center, 7.0, seed=31)
+    gt = pullback_field(RadialMap((RadialComponent(0.4, 5.0),)), center, G24)
+    _, trace = register(source, warp_volume(source, gt),
+                        RegistrationParams(pyramid_levels=1,
+                                           iterations_per_level=20))
+    entries = trace.entries
+    assert any(not e.accepted for e in entries)
+    # the initial state, then every accepted candidate that proposes a step
+    proposing = 1 + sum(e.accepted for e in entries[:-1])
+    assert counts["force"] == 2 * proposing
+    assert counts["exp"] == 2 * (1 + len(entries))
 
 
 def test_trace_rejects_nonfinite_energy():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from defield.grids import ValidationError
 from defield.stats import (
@@ -132,6 +133,17 @@ class TestPooledTTest:
         t, p = pooled_t_test(SummaryStats(5, 2.0, 0.0), SummaryStats(5, 1.0, 0.0))
         assert math.isinf(t) and t > 0 and p == 0.0
 
+    def test_matches_scipy_ttest_ind(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            nx, ny = (int(n) for n in rng.integers(2, 60, size=2))
+            x = rng.normal(rng.normal(), rng.uniform(0.1, 2.0), nx)
+            y = rng.normal(rng.normal(), rng.uniform(0.1, 2.0), ny)
+            t, p = pooled_t_test(summarize(x), summarize(y))
+            ref = scipy_stats.ttest_ind(x, y, equal_var=True)
+            assert t == pytest.approx(ref.statistic, rel=1e-12)
+            assert p == pytest.approx(ref.pvalue, rel=1e-11)
+
 
 class TestFisherExact:
     def test_full_course_table(self):
@@ -181,6 +193,18 @@ class TestFisherExact:
                 continue
             _, p = fisher_exact(Contingency2x2(int(a), int(b), int(c), int(d)))
             assert 0 < p <= 1
+
+    def test_matches_scipy_fisher_exact(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            a, b, c, d = (int(v) for v in rng.integers(0, 40, size=4))
+            if a + b + c + d == 0:
+                continue
+            orat, p = fisher_exact(Contingency2x2(a, b, c, d))
+            ref_odds, ref_p = scipy_stats.fisher_exact([[a, b], [c, d]])
+            assert p == pytest.approx(ref_p, rel=1e-11)
+            if b * c > 0:
+                assert orat == pytest.approx(ref_odds, rel=1e-12)
 
     def test_counts_validated(self):
         with pytest.raises(ValidationError):
