@@ -2,8 +2,9 @@
 cohort classification, phantom generation, and fixture reproduction.
 
 Configuration is a flat `key value` text file whose keys mirror
-PipelineConfig one-to-one; every key can also be overridden on the command
-line as --key value. Artifacts land under --out. Errors print a
+PipelineConfig, which inherits its registration keys from RegistrationParams;
+every key can be overridden on the command line as --key value, and classify
+always reports both week limits. Artifacts land under --out. Errors print a
 machine-readable JSON record to stderr and exit with a code identifying
 the failure class (2 missing input, 3 malformed file, 4 invariant
 violation, 5 internal). DEFIELD_THREADS caps worker parallelism.
@@ -16,16 +17,17 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import defanalysis, volio
 from .cohort import (
+    WEEK_LIMITS,
     CohortReport,
     ValidationError,
+    boxplot_row,
     load_fixture,
     load_manifest,
     reproduce_from_fixture,
     run_cohort,
+    tabulate,
 )
 from .defanalysis import collect_samples, jacobian_map, partition_regions
 from .grids import DefieldError, GridGeometry, warp_mask
@@ -42,47 +44,28 @@ EXIT_INTERNAL = 5
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(RegistrationParams):
     """Flat pipeline configuration; every field is a config/CLI key."""
 
-    pyramid_levels: int = 3
-    iterations_per_level: int = 50
-    lcc_sigma: float = 3.0
-    fluid_sigma: float = 2.0
-    diffusion_sigma: float = 1.5
-    exp_steps: int = 4
-    step_scale: float = 1.0
-    convergence_tol: float = 1e-4
     bootstrap_b: int = 1000
     bootstrap_seed: int = 0
     confidence_level: float = 0.95
-    week_limit: str = "all"
     population_ids: str = ""
     test_ids: str = ""
     workers: int = 1
 
     def __post_init__(self):
-        self.registration_params()  # validates the registration block
+        super().__post_init__()
         if self.bootstrap_b < 100:
             raise ValidationError("bootstrap_b must be >= 100")
         if not 0 < self.confidence_level < 1:
             raise ValidationError("confidence_level must be in (0, 1)")
-        if self.week_limit not in ("all", "3"):
-            raise ValidationError("week_limit must be 'all' or '3'")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
     def registration_params(self) -> RegistrationParams:
-        return RegistrationParams(
-            pyramid_levels=self.pyramid_levels,
-            iterations_per_level=self.iterations_per_level,
-            lcc_sigma=self.lcc_sigma,
-            fluid_sigma=self.fluid_sigma,
-            diffusion_sigma=self.diffusion_sigma,
-            exp_steps=self.exp_steps,
-            step_scale=self.step_scale,
-            convergence_tol=self.convergence_tol,
-        )
+        return RegistrationParams(**{f.name: getattr(self, f.name)
+                                     for f in fields(RegistrationParams)})
 
 
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
@@ -152,6 +135,36 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _fmt(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
+def _write_tables(path, report) -> None:
+    """tables.csv of a CohortReport or FixtureReproduction: one row per week
+    limit that has a table; undefined metrics are empty fields."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p\n")
+        for limit in WEEK_LIMITS:
+            table = report.contingency[limit]
+            if table is None:
+                continue
+            m = report.metric_table[limit]
+            orat, pval = report.fisher[limit]
+            fh.write(f"{limit},{table.a},{table.b},{table.c},{table.d},"
+                     f"{_fmt(m.accuracy, '.1f')},{_fmt(m.precision, '.1f')},"
+                     f"{_fmt(m.recall, '.1f')},{orat:.2f},{pval:.3f}\n")
+
+
+def _write_boxplot(path, rows: list[dict], keys: tuple[str, ...]) -> None:
+    """boxplot.csv: the label columns in keys, then the boxplot_row fields."""
+    columns = keys + ("n", "mean", "median", "q1", "q3",
+                      "whisker_lo98", "whisker_hi98")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+
+
 def cmd_register(args) -> int:
     cfg = _config_from_args(args)
     source = volio.read_volume(args.source)
@@ -207,8 +220,6 @@ def cmd_stats(args) -> int:
             ci = normal_ci(stats, cfg.confidence_level)
             boot = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
                                 cfg.bootstrap_seed)
-            whisk = normal_ci(stats, 0.98)
-            q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
             entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=[boot.lo, boot.hi])
             inputs = {"region": region, "n": stats.n, "sd": stats.sd,
                       "level": cfg.confidence_level}
@@ -220,8 +231,7 @@ def cmd_stats(args) -> int:
                                        "seed": cfg.bootstrap_seed},
                             "statistic": stats.mean, "p": None,
                             "interval": [boot.lo, boot.hi]})
-            boxplot_rows.append((region, stats.n, stats.mean, float(med),
-                                 float(q1), float(q3), whisk.lo, whisk.hi))
+            boxplot_rows.append({"region": region, **boxplot_row(values, stats)})
         report[region] = entry
     _write_json(os.path.join(out, "stats.json"),
                 {"confidence_level": cfg.confidence_level,
@@ -239,29 +249,22 @@ def cmd_stats(args) -> int:
                 fh.write(f"{region},{entry['n']},{entry['mean']!r},{entry['sd']!r},"
                          f"{entry['normal_ci'][0]!r},{entry['normal_ci'][1]!r},"
                          f"{entry['bootstrap_ci'][0]!r},{entry['bootstrap_ci'][1]!r}\n")
-    with open(os.path.join(out, "boxplot.csv"), "w", newline="\n") as fh:
-        fh.write("region,n,mean,median,q1,q3,whisker_lo98,whisker_hi98\n")
-        for region, n, *values in boxplot_rows:
-            fh.write(",".join([region, str(n)] + [repr(float(v)) for v in values]) + "\n")
+    _write_boxplot(os.path.join(out, "boxplot.csv"), boxplot_rows, ("region",))
     print(f"stats for {sum(1 for r in report.values() if r)} regions -> {out}")
     return EXIT_OK
 
 
 def _split_report(report: CohortReport, ids: set[str]):
-    from .cohort import build_contingency, metrics
-    from .stats import fisher_exact
     sub = [p for p in report.patients if p.patient_id in ids]
     if not sub:
         return None
     out = {"n": len(sub)}
-    for limit in ("all", "3"):
+    for limit in WEEK_LIMITS:
         try:
-            table = build_contingency([p.decisions[limit] for p in sub],
-                                      [p.recist for p in sub])
-            m = metrics(table)
-            orat, p = fisher_exact(table)
+            table, m, (orat, pval) = tabulate([p.decisions[limit] for p in sub],
+                                              [p.recist for p in sub])
             out[limit] = {"contingency": table.as_tuple(), "metrics": m.as_dict(),
-                          "fisher": {"odds_ratio": orat, "p": p}}
+                          "fisher": {"odds_ratio": orat, "p": pval}}
         except ValidationError as exc:
             out[limit] = {"error": str(exc)}
     return out
@@ -286,38 +289,19 @@ def cmd_classify(args) -> int:
         for p in report.patients:
             row = [p.patient_id, p.recist.value,
                    p.decisions["all"].value, p.decisions["3"].value]
-            for limit in ("all", "3"):
+            for limit in WEEK_LIMITS:
                 m = p.means[limit]
                 row += ["" if v is None else repr(v)
                         for v in (m.mu_R, m.mu_G, m.mu_U, m.mu_N)]
             note = "; ".join(m.note for m in p.means.values() if m.note)
             row.append(note)
             fh.write(",".join(row) + "\n")
-    def fmt(value, spec_str):
-        return "" if value is None else format(value, spec_str)
-
-    with open(os.path.join(out, "tables.csv"), "w", newline="\n") as fh:
-        fh.write("limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p\n")
-        for limit in ("all", "3"):
-            table = report.contingency[limit]
-            if table is None:
-                continue
-            m = report.metric_table[limit]
-            orat, pval = report.fisher[limit] or (None, None)
-            fh.write(f"{limit},{table.a},{table.b},{table.c},{table.d},"
-                     f"{fmt(m.accuracy, '.1f')},{fmt(m.precision, '.1f')},"
-                     f"{fmt(m.recall, '.1f')},{fmt(orat, '.2f')},"
-                     f"{fmt(pval, '.3f')}\n")
-    with open(os.path.join(out, "boxplot.csv"), "w", newline="\n") as fh:
-        fh.write("group,region,n,mean,median,q1,q3,whisker_lo98,whisker_hi98\n")
-        for row in report.boxplot:
-            fh.write(f"{row['group']},{row['region']},{row['n']},"
-                     f"{row['mean']!r},{row['median']!r},{row['q1']!r},"
-                     f"{row['q3']!r},{row['whisker_lo98']!r},"
-                     f"{row['whisker_hi98']!r}\n")
+    _write_tables(os.path.join(out, "tables.csv"), report)
+    _write_boxplot(os.path.join(out, "boxplot.csv"), report.boxplot,
+                   ("group", "region"))
     n_pr = {limit: sum(1 for p in report.patients
                        if p.decisions[limit].value == "PR-classified")
-            for limit in ("all", "3")}
+            for limit in WEEK_LIMITS}
     print(f"classified {len(report.patients)} patients: "
           f"{n_pr['all']} PR (full), {n_pr['3']} PR (three weeks)")
     for warning in report.warnings:
@@ -357,23 +341,16 @@ def cmd_reproduce_paper(args) -> int:
     rep = reproduce_from_fixture(rows)
     out = _outdir(args)
     _write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
-    with open(os.path.join(out, "tables.csv"), "w", newline="\n") as fh:
-        fh.write("limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p\n")
-        for limit in ("all", "3"):
-            table = rep.contingency[limit]
-            m = rep.metric_table[limit]
-            orat, pval = rep.fisher[limit]
-            fh.write(f"{limit},{table.a},{table.b},{table.c},{table.d},"
-                     f"{m.accuracy:.1f},{m.precision:.1f},{m.recall:.1f},"
-                     f"{orat:.2f},{pval:.3f}\n")
+    _write_tables(os.path.join(out, "tables.csv"), rep)
     for limit, title in (("all", "full course"), ("3", "first three weeks")):
         table = rep.contingency[limit]
         orat, pval = rep.fisher[limit]
         m = rep.metric_table[limit]
         print(f"{title}: contingency {table.as_tuple()}, "
               f"OR = {orat:.2f}, p = {pval:.3f}, "
-              f"accuracy {m.accuracy:.1f}, precision {m.precision:.1f}, "
-              f"recall {m.recall:.1f}")
+              f"accuracy {_fmt(m.accuracy, '.1f')}, "
+              f"precision {_fmt(m.precision, '.1f')}, "
+              f"recall {_fmt(m.recall, '.1f')}")
     for flag in rep.flags:
         print("flag:", flag)
     return EXIT_OK

@@ -36,11 +36,14 @@ from .grids import ValidationError, warp_mask
 from .registration import RegistrationParams, register
 from .stats import (
     Contingency2x2,
+    SummaryStats,
     fisher_exact,
     normal_ci,
     pooled_t_test,
     summarize,
 )
+
+WEEK_LIMITS = ("all", "3")
 
 
 class RecistLabel(str, Enum):
@@ -175,7 +178,7 @@ def patient_region_means(record: PatientRecord, week_limit: str = "all",
                          ) -> RegionMeans:
     """Pool per-region samples over the consecutive week pairs within the
     limit ("all" or "3" = first three weeks) and return the means."""
-    if week_limit not in ("all", "3"):
+    if week_limit not in WEEK_LIMITS:
         raise ValidationError(f"week_limit must be 'all' or '3', got {week_limit!r}")
     if week_limit in record.cached_means:
         return record.cached_means[week_limit]
@@ -234,6 +237,14 @@ def metrics(table: Contingency2x2) -> Metrics:
     precision = 100.0 * table.a / (table.a + table.b) if table.a + table.b else None
     recall = 100.0 * table.a / (table.a + table.c) if table.a + table.c else None
     return Metrics(accuracy, precision, recall)
+
+
+def tabulate(decisions: list[Decision], labels: list[RecistLabel]
+             ) -> tuple[Contingency2x2, Metrics, tuple[float, float]]:
+    """Contingency table, metrics and Fisher's exact test (odds ratio, p)
+    of one week limit's decisions against the RECIST labels."""
+    table = build_contingency(decisions, labels)
+    return table, metrics(table), fisher_exact(table)
 
 
 @dataclass
@@ -340,9 +351,6 @@ def _patient_worker(args):
     return record
 
 
-WEEK_LIMITS = ("all", "3")
-
-
 def run_cohort(records: list[PatientRecord],
                params: RegistrationParams = RegistrationParams(),
                workers: int = 1) -> CohortReport:
@@ -372,19 +380,11 @@ def run_cohort(records: list[PatientRecord],
     fisher: dict[str, tuple[float, float] | None] = {}
     for limit in WEEK_LIMITS:
         try:
-            table = build_contingency([r.decisions[limit] for r in results],
-                                      [r.recist for r in results])
+            contingency[limit], metric_table[limit], fisher[limit] = tabulate(
+                [r.decisions[limit] for r in results], [r.recist for r in results])
         except ValidationError as exc:
             warnings.append(f"contingency [{limit}]: {exc}")
             contingency[limit] = metric_table[limit] = fisher[limit] = None
-            continue
-        contingency[limit] = table
-        metric_table[limit] = metrics(table)
-        try:
-            fisher[limit] = fisher_exact(table)
-        except ValidationError as exc:
-            warnings.append(f"fisher [{limit}]: {exc}")
-            fisher[limit] = None
 
     ordering = None
     try:
@@ -418,16 +418,20 @@ def _boxplot_rows(records: list[PatientRecord]) -> list[dict]:
             values = pooled.samples[region]
             if values.size < 2:
                 continue
-            stats = summarize(values)
-            whiskers = normal_ci(stats, 0.98)
-            q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-            rows.append({
-                "group": group, "region": region, "n": stats.n,
-                "mean": stats.mean, "median": float(med),
-                "q1": float(q1), "q3": float(q3),
-                "whisker_lo98": whiskers.lo, "whisker_hi98": whiskers.hi,
-            })
+            rows.append({"group": group, "region": region,
+                         **boxplot_row(values, summarize(values))})
     return rows
+
+
+def boxplot_row(values: np.ndarray, stats: SummaryStats) -> dict:
+    """Box-plot entry of one region's samples (at least two): n, mean,
+    median, quartiles and the 98% normal-CI whiskers of the mean, as
+    Python ints and floats."""
+    whiskers = normal_ci(stats, 0.98)
+    q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+    return {"n": stats.n, "mean": stats.mean, "median": float(med),
+            "q1": float(q1), "q3": float(q3),
+            "whisker_lo98": whiskers.lo, "whisker_hi98": whiskers.hi}
 
 
 def load_manifest(path) -> list[PatientRecord]:
@@ -559,11 +563,8 @@ def reproduce_from_fixture(rows: list[FixtureRow]) -> FixtureReproduction:
     fisher = {}
     flags = []
     for limit in WEEK_LIMITS:
-        table = build_contingency(decisions[limit], labels)
-        contingency[limit] = table
-        m = metrics(table)
+        contingency[limit], m, fisher[limit] = tabulate(decisions[limit], labels)
         metric_table[limit] = m
-        fisher[limit] = fisher_exact(table)
         ref = REFERENCE_SUMMARY[limit]
         for name, computed in (("accuracy", m.accuracy),
                                ("precision", m.precision),

@@ -170,8 +170,7 @@ def pool(samples: list[RegionSamples]) -> RegionSamples:
 
 
 def write_jacobian(path, jmap: JacobianMap) -> None:
-    volio._write(path, jmap.geometry, "float32-le", None,
-                 jmap.data.astype("<f4").ravel(order="F").tobytes())
+    volio.write_volume(path, jmap)  # same float32 scalar payload as a Volume
 
 
 def read_jacobian(path) -> JacobianMap:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import volio
-from .defanalysis import JacobianMap
+from .defanalysis import JacobianMap, write_jacobian
 from .grids import (
     GridGeometry,
     Mask,
@@ -262,9 +262,7 @@ class SyntheticCourse:
             })
         for pair, (fld, jac) in enumerate(zip(self.gt_fields, self.gt_jacobians)):
             volio.write_field(os.path.join(pdir, f"gt_forward{pair:02d}.vol"), fld)
-            volio._write(os.path.join(pdir, f"gt_jacobian{pair:02d}.vol"),
-                         jac.geometry, "float32-le", None,
-                         jac.data.astype("<f4").ravel(order="F").tobytes())
+            write_jacobian(os.path.join(pdir, f"gt_jacobian{pair:02d}.vol"), jac)
         return rows
 
 

@@ -53,6 +53,28 @@ def test_reproduce_paper_idempotent(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_reproduce_paper_without_pr_classified_patients(tmp_path, capsys):
+    import csv
+    from defield.cohort import fixture_path
+    with open(fixture_path(), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fixture = tmp_path / "all_n.csv"
+    with open(fixture, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "classification_full": "N"} for row in rows)
+    out = tmp_path / "rep"
+    code = main(["reproduce-paper", "--fixture", str(fixture), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == EXIT_OK
+    lines = (out / "tables.csv").read_text().splitlines()
+    # precision is undefined without PR-classified patients: an empty field
+    assert lines[1] == "all,0,0,21,17,44.7,,0.0,inf,1.000"
+    assert lines[2].startswith("3,11,3,10,14,")
+    assert "full course: contingency (0, 0, 21, 17)" in stdout
+    assert "precision , recall 0.0" in stdout
+
+
 def test_register_jacobian_regions_stats_chain(phantom_dir, tmp_path):
     p0 = phantom_dir / "p00"
     reg = tmp_path / "reg"
@@ -216,7 +238,7 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.pyramid_levels == 2
     assert cfg.lcc_sigma == 4.0       # CLI override wins
     assert cfg.bootstrap_b == 500
-    assert cfg.week_limit == "all"    # untouched default
+    assert cfg.confidence_level == 0.95    # untouched default
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -232,9 +254,97 @@ def test_config_validates_invariants():
     with pytest.raises(ValidationError):
         PipelineConfig(step_scale=3.0)
     with pytest.raises(ValidationError):
-        PipelineConfig(week_limit="5")
+        PipelineConfig(workers=0)
     with pytest.raises(ValidationError):
         PipelineConfig(bootstrap_b=10)
+
+
+def test_week_limit_is_not_a_config_key(phantom_dir, tmp_path, capsys):
+    # both week limits are always reported; the old selector key is gone
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text("week_limit all\n")
+    code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
+                 "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert "bad config line 'week_limit all'" in record["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
+              "--out", str(tmp_path / "out"), "--week-limit", "all"])
+    assert exc.value.code == 2
+    assert "--week-limit" in capsys.readouterr().err
+
+
+def test_config_registration_fields_match_params(phantom_dir, tmp_path):
+    from dataclasses import fields
+    from defield.registration import RegistrationParams
+    reg_fields = [(f.name, f.default) for f in fields(RegistrationParams)]
+    assert len(reg_fields) == 8
+    assert [(f.name, f.default) for f in fields(PipelineConfig)][:8] == reg_fields
+    assert len(fields(PipelineConfig)) == 14
+    cfg = PipelineConfig(lcc_sigma=2.5, workers=2)
+    assert cfg.registration_params() == RegistrationParams(lcc_sigma=2.5)
+    # transform.json records exactly the registration block
+    p0 = phantom_dir / "p00"
+    out = tmp_path / "reg"
+    assert main(["register", "--source", str(p0 / "week00_vol.vol"),
+                 "--target", str(p0 / "week00_vol.vol"), "--out", str(out),
+                 "--pyramid-levels", "1", "--iterations-per-level", "1",
+                 "--workers", "2", "--bootstrap-b", "200"]) == EXIT_OK
+    params = json.loads((out / "transform.json").read_text())["params"]
+    assert sorted(params) == sorted(name for name, _ in reg_fields)
+    assert params["pyramid_levels"] == 1
+
+
+def _patient(pid, full, three, recist):
+    from defield.cohort import Decision, PatientResult, RecistLabel
+    pr, no = Decision.PR_CLASSIFIED, Decision.NO_DECISION
+    return PatientResult(pid, RecistLabel(recist), {},
+                         {"all": pr if full else no, "3": pr if three else no})
+
+
+SPLIT_PATIENTS = [_patient("p1", True, True, "PR"), _patient("p2", True, False, "PD"),
+                  _patient("p3", False, True, "CR"), _patient("p4", False, False, "SD"),
+                  _patient("p5", True, True, "PR"), _patient("p6", False, False, "PR"),
+                  _patient("p7", True, True, "NA")]
+
+
+def _cohort_report(patients):
+    from defield.cohort import CohortReport, build_contingency, metrics
+    from defield.stats import fisher_exact
+    tables = {limit: build_contingency([p.decisions[limit] for p in patients],
+                                       [p.recist for p in patients])
+              for limit in ("all", "3")}
+    return CohortReport(patients, tables,
+                        {k: metrics(t) for k, t in tables.items()},
+                        {k: fisher_exact(t) for k, t in tables.items()},
+                        None, [])
+
+
+def test_split_covering_every_patient_matches_cohort():
+    from defield.cli import _split_report
+    report = _cohort_report(SPLIT_PATIENTS)
+    split = _split_report(report, {p.patient_id for p in SPLIT_PATIENTS} | {"zz"})
+    cohort = report.as_dict()
+    assert split["n"] == len(SPLIT_PATIENTS)
+    for limit in ("all", "3"):
+        assert split[limit] == {"contingency": cohort["contingency"][limit],
+                                "metrics": cohort["metrics"][limit],
+                                "fisher": cohort["fisher"][limit]}
+
+
+def test_split_of_unknown_ids_is_null():
+    from defield.cli import _split_report
+    assert _split_report(_cohort_report(SPLIT_PATIENTS), {"zz", "p"}) is None
+
+
+def test_split_of_na_only_patients_reports_error():
+    from defield.cli import _split_report
+    patients = SPLIT_PATIENTS + [_patient("q1", True, False, "NA")]
+    split = _split_report(_cohort_report(patients), {"p7", "q1"})
+    error = {"error": "no patients left after excluding NA responses"}
+    assert split == {"n": 2, "all": error, "3": error}
 
 
 def test_threads_env_caps_workers(monkeypatch):

@@ -19,6 +19,7 @@ from defield.cohort import (
     population_ordering,
     reproduce_from_fixture,
     run_cohort,
+    tabulate,
 )
 from defield.defanalysis import RegionSamples
 from defield.grids import GridGeometry, Mask, ValidationError, Volume
@@ -97,6 +98,17 @@ class TestFixture:
     def test_all_na_rejected(self):
         with pytest.raises(ValidationError):
             build_contingency([Decision.NO_DECISION] * 3, [RecistLabel.NA] * 3)
+
+    def test_tabulate_matches_contingency_metrics_and_fisher(self):
+        from defield.stats import fisher_exact
+        labels = [r.recist for r in FIXTURE]
+        for decisions in ([r.full for r in FIXTURE], [r.three_week for r in FIXTURE],
+                          [Decision.NO_DECISION] * len(FIXTURE)):
+            table = build_contingency(decisions, labels)
+            assert tabulate(decisions, labels) == (table, metrics(table),
+                                                   fisher_exact(table))
+        with pytest.raises(ValidationError):
+            tabulate([Decision.NO_DECISION] * 3, [RecistLabel.NA] * 3)
 
     def test_reproduction_flags_recall_discrepancy(self):
         rep = reproduce_from_fixture(FIXTURE)
