@@ -23,6 +23,7 @@ from .cohort import (
     CohortReport,
     ValidationError,
     boxplot_row,
+    fisher_json,
     load_fixture,
     load_manifest,
     reproduce_from_fixture,
@@ -261,10 +262,10 @@ def _split_report(report: CohortReport, ids: set[str]):
     out = {"n": len(sub)}
     for limit in WEEK_LIMITS:
         try:
-            table, m, (orat, pval) = tabulate([p.decisions[limit] for p in sub],
-                                              [p.recist for p in sub])
+            table, m, fisher = tabulate([p.decisions[limit] for p in sub],
+                                        [p.recist for p in sub])
             out[limit] = {"contingency": table.as_tuple(), "metrics": m.as_dict(),
-                          "fisher": {"odds_ratio": orat, "p": pval}}
+                          "fisher": fisher_json(fisher)}
         except ValidationError as exc:
             out[limit] = {"error": str(exc)}
     return out

@@ -147,7 +147,12 @@ def compute_pair_samples(record: PatientRecord,
         vol_prev, mask_prev = vol_next, mask_next
         vol_next = volio.read_volume(record.weeks[k + 1].volume_path)
         mask_next = volio.read_mask(record.weeks[k + 1].mask_path)
-        transform, _ = register(vol_prev, vol_next, params)
+        try:
+            transform, _ = register(vol_prev, vol_next, params)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"patient {record.patient_id}, weeks {record.weeks[k].week}->"
+                f"{record.weeks[k + 1].week}: {exc}") from exc
         warped = warp_mask(mask_prev, transform.forward)
         part = partition_regions(warped, mask_next, week_index=k)
         samples.append(collect_samples(jacobian_map(transform.forward), part))
@@ -247,6 +252,11 @@ def tabulate(decisions: list[Decision], labels: list[RecistLabel]
     return table, metrics(table), fisher_exact(table)
 
 
+def fisher_json(result: tuple[float, float] | None) -> dict | None:
+    """The report shape of a Fisher result: {"odds_ratio", "p"}, or None."""
+    return None if result is None else {"odds_ratio": result[0], "p": result[1]}
+
+
 @dataclass
 class OrderingResult:
     """Region ordering by mean plus the skew-symmetric pairwise t matrix."""
@@ -336,8 +346,7 @@ class CohortReport:
                             for k, v in self.contingency.items()},
             "metrics": {k: (v.as_dict() if v else None)
                         for k, v in self.metric_table.items()},
-            "fisher": {k: ({"odds_ratio": v[0], "p": v[1]} if v else None)
-                       for k, v in self.fisher.items()},
+            "fisher": {k: fisher_json(v) for k, v in self.fisher.items()},
             "ordering": self.ordering.as_dict() if self.ordering else None,
             "records": records,
             "boxplot": self.boxplot,
@@ -544,8 +553,7 @@ class FixtureReproduction:
             "n_pr_or_cr": self.n_pr_or_cr,
             "contingency": {k: v.as_tuple() for k, v in self.contingency.items()},
             "metrics": {k: v.as_dict() for k, v in self.metric_table.items()},
-            "fisher": {k: {"odds_ratio": v[0], "p": v[1]}
-                       for k, v in self.fisher.items()},
+            "fisher": {k: fisher_json(v) for k, v in self.fisher.items()},
             "reference_summary": REFERENCE_SUMMARY,
             "flags": self.flags,
         }

@@ -21,12 +21,24 @@ Each level state computes its symmetric energy once, and builds its
 smoothed update direction at most once from the same local statistics: a
 rejection only rescales the cached direction, and the returned transform
 reuses the final state's exponentials and warped source.
+
+The forward half of a state (exp(v), the warped source, the forward
+statistics and force) and its backward half (exp(-v), the warped target,
+the backward statistics and force) are independent, so the backward half
+runs on one helper thread while the calling thread runs the forward half;
+the scipy.ndimage kernels that dominate both release the GIL. The results
+are combined in the same order as a serial run, so the fields are
+identical. Each register call owns its executor and joins its thread
+before it returns: a thread left alive in a process that later forks
+(run_cohort's process pool) would leave the children an executor whose
+thread does not exist, and they would wait on it forever.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,19 +225,26 @@ def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
 class _LevelState:
     """Velocity plus its exponentials, warped images and symmetric energy
     at one level; the local statistics are kept only until the update
-    direction is built from them."""
+    direction is built from them. The backward half of each computation
+    runs on the helper thread of `pool` while the caller runs the forward
+    half."""
 
-    def __init__(self, v, source, target, params, eps_s, eps_t):
+    def __init__(self, v, source, target, params, eps_s, eps_t, pool):
         self.v = v
         self.params = params
+        self._pool = pool
         steps = auto_exp_steps(_max_norm(v), params.exp_steps)
-        self.fwd = _exp_array(v, steps)
-        self.bwd = _exp_array(-v, steps)
-        self.warped_src = _warp_array(source, self.fwd)
-        self.warped_tgt = _warp_array(target, self.bwd)
         sigma = params.lcc_sigma
-        e_f, self._stats_f = _lcc(self.warped_src, target, sigma, eps_s, eps_t)
-        e_b, self._stats_b = _lcc(self.warped_tgt, source, sigma, eps_t, eps_s)
+
+        def half(vel, moving, fixed, eps_m, eps_f):
+            disp = _exp_array(vel, steps)
+            warped = _warp_array(moving, disp)
+            return (disp, warped, *_lcc(warped, fixed, sigma, eps_m, eps_f))
+
+        backward = pool.submit(half, -v, target, source, eps_t, eps_s)
+        self.fwd, self.warped_src, e_f, self._stats_f = half(
+            v, source, target, eps_s, eps_t)
+        self.bwd, self.warped_tgt, e_b, self._stats_b = backward.result()
         self.energy = 0.5 * (e_f + e_b)
         self._direction = None
 
@@ -233,8 +252,8 @@ class _LevelState:
         """Fluid-smoothed symmetric force d and max_norm(d), built once."""
         if self._direction is None:
             sigma = self.params.lcc_sigma
-            u = 0.5 * (_lcc_force(self._stats_f, sigma)
-                       - _lcc_force(self._stats_b, sigma))
+            backward = self._pool.submit(_lcc_force, self._stats_b, sigma)
+            u = 0.5 * (_lcc_force(self._stats_f, sigma) - backward.result())
             u = _smooth_field_array(u, self.params.fluid_sigma)
             self._direction = u, _max_norm(u)
             self._stats_f = self._stats_b = None
@@ -290,48 +309,50 @@ def register(source: Volume, target: Volume,
 
     trace = ConvergenceTrace()
     state = None
-    for level, (src_l, tgt_l) in enumerate(zip(pyr_src, pyr_tgt)):
-        geom = src_l.geometry
-        if state is None:
-            v = np.zeros((3, *geom.dims), dtype=np.float32)
-        else:
-            v = upsample_field(VectorField(prev_geom, state.v), geom).data.copy()
-        prev_geom = geom
-
-        s_arr = src_l.data
-        t_arr = tgt_l.data
-        eps_s = VARIANCE_FLOOR * float(s_arr.var(dtype=np.float64))
-        eps_t = VARIANCE_FLOOR * float(t_arr.var(dtype=np.float64))
-
-        state = _LevelState(v, s_arr, t_arr, params, eps_s, eps_t)
-        # coarse-level velocities that do not beat the identity are discarded
-        if level > 0 and _max_norm(v) > 0:
-            e_zero, _ = _lcc(s_arr, t_arr, params.lcc_sigma, eps_s, eps_t)
-            if state.energy < e_zero:
-                state = _LevelState(np.zeros_like(v), s_arr, t_arr, params,
-                                    eps_s, eps_t)
-
-        step = params.step_scale
-        for iteration in range(params.iterations_per_level):
-            d, dmax = state.direction()
-            if dmax < 1e-12:
-                break
-            v_cand = _smooth_field_array(state.v + d * (step / dmax),
-                                         params.diffusion_sigma).astype(np.float32)
-            cand = _LevelState(v_cand, s_arr, t_arr, params, eps_s, eps_t)
-            accepted = cand.energy >= state.energy - 1e-12
-            trace.append(TraceEntry(level, iteration,
-                                    cand.energy if accepted else state.energy,
-                                    step, accepted))
-            if accepted:
-                rel = abs(cand.energy - state.energy) / max(abs(state.energy), 1e-12)
-                state = cand
-                if rel < params.convergence_tol:
-                    break
+    # one helper thread per call, joined before return (see module docstring)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for level, (src_l, tgt_l) in enumerate(zip(pyr_src, pyr_tgt)):
+            geom = src_l.geometry
+            if state is None:
+                v = np.zeros((3, *geom.dims), dtype=np.float32)
             else:
-                step *= 0.5
-                if step < MIN_STEP_FRACTION * params.step_scale:
+                v = upsample_field(VectorField(prev_geom, state.v), geom).data.copy()
+            prev_geom = geom
+
+            s_arr = src_l.data
+            t_arr = tgt_l.data
+            eps_s = VARIANCE_FLOOR * float(s_arr.var(dtype=np.float64))
+            eps_t = VARIANCE_FLOOR * float(t_arr.var(dtype=np.float64))
+
+            state = _LevelState(v, s_arr, t_arr, params, eps_s, eps_t, pool)
+            # coarse-level velocities that do not beat the identity are discarded
+            if level > 0 and _max_norm(v) > 0:
+                e_zero, _ = _lcc(s_arr, t_arr, params.lcc_sigma, eps_s, eps_t)
+                if state.energy < e_zero:
+                    state = _LevelState(np.zeros_like(v), s_arr, t_arr, params,
+                                        eps_s, eps_t, pool)
+
+            step = params.step_scale
+            for iteration in range(params.iterations_per_level):
+                d, dmax = state.direction()
+                if dmax < 1e-12:
                     break
+                v_cand = _smooth_field_array(state.v + d * (step / dmax),
+                                             params.diffusion_sigma).astype(np.float32)
+                cand = _LevelState(v_cand, s_arr, t_arr, params, eps_s, eps_t, pool)
+                accepted = cand.energy >= state.energy - 1e-12
+                trace.append(TraceEntry(level, iteration,
+                                        cand.energy if accepted else state.energy,
+                                        step, accepted))
+                if accepted:
+                    rel = abs(cand.energy - state.energy) / max(abs(state.energy), 1e-12)
+                    state = cand
+                    if rel < params.convergence_tol:
+                        break
+                else:
+                    step *= 0.5
+                    if step < MIN_STEP_FRACTION * params.step_scale:
+                        break
 
     geometry = source.geometry
     transform = SymmetricTransform(

@@ -81,6 +81,8 @@ def _parse_header(path, raw: bytes):
         key, _, value = line.partition(" ")
         if not value:
             raise VolFormatError(f"{path}: malformed header line {line!r}")
+        if key in fields:
+            raise VolFormatError(f"{path}: duplicate header key {key!r}")
         fields[key] = value
     for key in ("DIMS", "SPACING", "ORIGIN", "DTYPE"):
         if key not in fields:

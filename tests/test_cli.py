@@ -16,7 +16,7 @@ from defield.cli import (
     load_config,
     main,
 )
-from defield.grids import GridGeometry, Volume
+from defield.grids import GridGeometry, Mask, Volume
 
 
 def run(argv, capsys=None):
@@ -156,7 +156,6 @@ def test_classify_empty_masks_warns_but_succeeds(tmp_path, capsys):
     g = GridGeometry((16, 16, 16))
     rng = np.random.default_rng(0)
     rows = ["patient_id,week,volume_path,mask_path,recist"]
-    from defield.grids import Mask
     for week in range(2):
         vol = Volume(g, rng.uniform(0.5, 1.5, size=g.dims).astype(np.float32))
         vol_path = tmp_path / f"w{week}.vol"
@@ -172,6 +171,35 @@ def test_classify_empty_masks_warns_but_succeeds(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == EXIT_OK
     assert "insufficient region" in captured
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_classify_constant_volume_names_patient(tmp_path, capsys, workers):
+    # the error crosses the process pool when workers > 1, so it must pickle
+    g = GridGeometry((16, 16, 16))
+    rng = np.random.default_rng(1)
+    rows = ["patient_id,week,volume_path,mask_path,recist"]
+    mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
+    for pid in ("p0", "p1"):
+        for week in range(3):
+            flat = pid == "p1" and week == 2
+            data = (np.full(g.dims, 1.0) if flat
+                    else rng.uniform(0.5, 1.5, size=g.dims))
+            vol_path = tmp_path / f"{pid}w{week}.vol"
+            mask_path = tmp_path / f"{pid}m{week}.vol"
+            volio.write_volume(vol_path, Volume(g, data.astype(np.float32)))
+            volio.write_mask(mask_path, mask)
+            rows.append(f"{pid},{week},{vol_path.name},{mask_path.name},NA")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    code = main(["classify", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out"), "--workers", workers,
+                 "--pyramid-levels", "1", "--iterations-per-level", "3"])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert record["message"].startswith("patient p1, weeks 1->2: ")
+    assert "target volume is constant" in record["message"]
 
 
 def test_missing_input_error_record(tmp_path, capsys):
@@ -190,6 +218,21 @@ def test_malformed_vol_error_record(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert code == EXIT_FORMAT
     assert record["error"] == "format-error"
+
+
+def test_duplicate_vol_header_key_error_record(tmp_path, capsys):
+    g = GridGeometry((4, 4, 4))
+    good = tmp_path / "good.vol"
+    volio.write_volume(good, Volume.full(g, 1.0))
+    raw = good.read_bytes()
+    dup = tmp_path / "dup.vol"
+    dup.write_bytes(raw.replace(b"DTYPE", b"SPACING 2.0 2.0 2.0\nDTYPE", 1))
+    code = main(["register", "--source", str(dup), "--target", str(good),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_FORMAT
+    assert record["error"] == "format-error"
+    assert "duplicate header key 'SPACING'" in record["message"]
 
 
 def test_invariant_violation_error_record(tmp_path, capsys):

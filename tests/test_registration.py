@@ -1,6 +1,8 @@
 """Similarity measure, exponential map, composition, and registration
 properties on blob phantoms."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -290,6 +292,55 @@ def test_register_work_counts(monkeypatch):
     proposing = 1 + sum(e.accepted for e in entries[:-1])
     assert counts["force"] == 2 * proposing
     assert counts["exp"] == 2 * (1 + len(entries))
+
+
+def _small_pair(seed):
+    center = (11.5, 11.5, 11.5)
+    source = blob_volume(G24, center, 7.0, seed=seed)
+    gt = pullback_field(RadialMap((RadialComponent(0.4, 5.0),)), center, G24)
+    return source, warp_volume(source, gt)
+
+
+SMALL_PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=8)
+
+
+def test_register_leaves_no_thread_behind():
+    # a helper thread that outlives register would be inherited, dead, by
+    # the children of a later fork (run_cohort's process pool)
+    before = threading.active_count()
+    register(*_small_pair(41), SMALL_PARAMS)
+    assert threading.active_count() == before
+
+
+def test_concurrent_registers_match_serial():
+    """Register calls from several Python threads at once (more threads
+    than cores, with a short switch interval) give the serial results."""
+    pairs = [_small_pair(seed) for seed in (42, 43, 44)]
+    serial = [register(*pair, SMALL_PARAMS) for pair in pairs]
+    results = [None] * len(pairs)
+
+    def run(i):
+        results[i] = register(*pairs[i], SMALL_PARAMS)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(pairs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (want, want_trace), got in zip(serial, results):
+        assert got is not None
+        transform, trace = got
+        for name in ("velocity", "forward", "backward"):
+            assert np.array_equal(getattr(transform, name).data,
+                                  getattr(want, name).data)
+        assert trace.entries == want_trace.entries
 
 
 def test_trace_rejects_nonfinite_energy():

@@ -118,3 +118,14 @@ def test_mask_reader_rejects_label_values(tmp_path):
     volio.write_labels(path, GEOM, labels)
     with pytest.raises(VolFormatError):
         volio.read_mask(path)
+
+
+def test_duplicate_header_key(tmp_path):
+    # a repeated key must not silently overwrite the first value: the
+    # payload fits the second DIMS, so overwriting would read it as 4x2x2
+    path = tmp_path / "dup.vol"
+    path.write_bytes(
+        b"DIMS 2 2 2\nDIMS 4 2 2\nSPACING 1.0 1.0 1.0\nORIGIN 0.0 0.0 0.0\n"
+        b"DTYPE uint8\n\n" + bytes(16))
+    with pytest.raises(VolFormatError, match="duplicate header key 'DIMS'"):
+        volio.read_raw(path)
