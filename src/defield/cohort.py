@@ -32,7 +32,7 @@ from .defanalysis import (
     partition_regions,
     pool,
 )
-from .grids import ValidationError, warp_mask
+from .grids import GeometryMismatch, ValidationError, warp_mask
 from .registration import RegistrationParams, register
 from .stats import (
     Contingency2x2,
@@ -149,13 +149,14 @@ def compute_pair_samples(record: PatientRecord,
         mask_next = volio.read_mask(record.weeks[k + 1].mask_path)
         try:
             transform, _ = register(vol_prev, vol_next, params)
-        except ValidationError as exc:
-            raise ValidationError(
+            warped = warp_mask(mask_prev, transform.forward)
+            part = partition_regions(warped, mask_next, week_index=k)
+            samples.append(collect_samples(jacobian_map(transform.forward), part))
+        except (GeometryMismatch, ValidationError) as exc:
+            # same class, message as its only argument: it still pickles
+            raise type(exc)(
                 f"patient {record.patient_id}, weeks {record.weeks[k].week}->"
                 f"{record.weeks[k + 1].week}: {exc}") from exc
-        warped = warp_mask(mask_prev, transform.forward)
-        part = partition_regions(warped, mask_next, week_index=k)
-        samples.append(collect_samples(jacobian_map(transform.forward), part))
     record.pair_samples = samples
     return samples
 
@@ -449,7 +450,7 @@ def load_manifest(path) -> list[PatientRecord]:
     base = os.path.dirname(os.path.abspath(path))
     groups: dict[str, list[WeekEntry]] = {}
     labels: dict[str, RecistLabel] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"patient_id", "week", "volume_path", "mask_path", "recist"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -512,7 +513,7 @@ def fixture_path() -> str:
 def load_fixture(path=None) -> list[FixtureRow]:
     path = path or fixture_path()
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"patient_id", "classification_full", "classification_3w",
                     "rx_response"}

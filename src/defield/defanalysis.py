@@ -15,11 +15,12 @@ import numpy as np
 
 from . import volio
 from .grids import (
-    GeometryMismatch,
     GridGeometry,
     Mask,
     ValidationError,
     VectorField,
+    Volume,
+    _frozen,
     require_same_geometry,
 )
 
@@ -29,23 +30,9 @@ REGIONS = ("U", "R", "G", "N")
 _CODE = {"N": LABEL_N, "U": LABEL_U, "R": LABEL_R, "G": LABEL_G}
 
 
-@dataclass(frozen=True)
-class JacobianMap:
-    """Per-voxel determinant of phi(z) = z - g(z) (float32)."""
-
-    geometry: GridGeometry
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.shape != self.geometry.dims:
-            raise ValidationError(
-                f"jacobian data shape {arr.shape} != dims {self.geometry.dims}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("jacobian map contains non-finite values")
-        arr = arr.copy() if arr is self.data else arr
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+class JacobianMap(Volume):
+    """Per-voxel determinant of phi(z) = z - g(z) (float32); the invariants
+    of a Volume."""
 
 
 @dataclass(frozen=True)
@@ -57,15 +44,9 @@ class RegionPartition:
     week_index: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.uint8)
-        if arr.shape != self.geometry.dims:
-            raise ValidationError(
-                f"label shape {arr.shape} != dims {self.geometry.dims}")
-        if arr.max(initial=0) > LABEL_G:
-            raise ValidationError("labels must be region codes 0..3")
-        arr = arr.copy() if arr is self.labels else arr
-        arr.flags.writeable = False
-        object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "labels", _frozen(
+            self.labels, np.uint8, self.geometry.dims, "RegionPartition",
+            max_value=LABEL_G))
 
     def region_mask(self, region: str) -> np.ndarray:
         return self.labels == _CODE[region]
@@ -151,9 +132,7 @@ def collect_samples(jmap: JacobianMap, part: RegionPartition) -> RegionSamples:
     Face voxels are excluded: their one-sided stencils bias the
     determinant.
     """
-    if jmap.geometry != part.geometry:
-        raise GeometryMismatch(
-            f"geometry mismatch: {jmap.geometry} vs {part.geometry}")
+    require_same_geometry(jmap, part)
     sl = _interior(jmap.geometry.dims)
     values = jmap.data[sl].astype(np.float64)
     labels = part.labels[sl]
@@ -174,10 +153,8 @@ def write_jacobian(path, jmap: JacobianMap) -> None:
 
 
 def read_jacobian(path) -> JacobianMap:
-    geometry, arr, dtype, components = volio.read_raw(path)
-    if dtype != "float32-le" or components is not None:
-        raise volio.VolFormatError(f"{path}: not a scalar float32 jacobian map")
-    return JacobianMap(geometry, arr)
+    vol = volio.read_volume(path)
+    return JacobianMap(vol.geometry, vol.data)
 
 
 def write_partition(path, part: RegionPartition) -> None:

@@ -55,7 +55,18 @@ class GridGeometry:
         return nx * ny * nz
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _frozen(data, dtype, shape, what: str, finite: bool = False,
+            max_value: int | None = None) -> np.ndarray:
+    """data as a read-only array of dtype and shape, copied when it is the
+    caller's own array; raises ValidationError naming `what`."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.shape != shape:
+        raise ValidationError(f"{what} data shape {arr.shape} != {shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contains non-finite values")
+    if max_value is not None and arr.max(initial=0) > max_value:
+        raise ValidationError(f"{what} values must be in 0..{max_value}")
+    arr = arr.copy() if arr is data else arr
     arr.flags.writeable = False
     return arr
 
@@ -68,13 +79,9 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.shape != self.geometry.dims:
-            raise ValidationError(
-                f"volume data shape {arr.shape} != dims {self.geometry.dims}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("volume contains non-finite values")
-        object.__setattr__(self, "data", _freeze(arr.copy() if arr is self.data else arr))
+        object.__setattr__(self, "data", _frozen(
+            self.data, np.float32, self.geometry.dims, type(self).__name__,
+            finite=True))
 
     @staticmethod
     def full(geometry: GridGeometry, value: float) -> "Volume":
@@ -89,13 +96,8 @@ class Mask:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.uint8)
-        if arr.shape != self.geometry.dims:
-            raise ValidationError(
-                f"mask data shape {arr.shape} != dims {self.geometry.dims}")
-        if arr.max(initial=0) > 1:
-            raise ValidationError("mask values must be 0 or 1")
-        object.__setattr__(self, "data", _freeze(arr.copy() if arr is self.data else arr))
+        object.__setattr__(self, "data", _frozen(
+            self.data, np.uint8, self.geometry.dims, "Mask", max_value=1))
 
     def volume_voxels(self) -> int:
         return int(self.data.sum())
@@ -109,20 +111,16 @@ class VectorField:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.shape != (3, *self.geometry.dims):
-            raise ValidationError(
-                f"field data shape {arr.shape} != (3, *{self.geometry.dims})")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("field contains non-finite values")
-        object.__setattr__(self, "data", _freeze(arr.copy() if arr is self.data else arr))
+        object.__setattr__(self, "data", _frozen(
+            self.data, np.float32, (3, *self.geometry.dims), "VectorField",
+            finite=True))
 
     @staticmethod
     def zero(geometry: GridGeometry) -> "VectorField":
         return VectorField(geometry, np.zeros((3, *geometry.dims), dtype=np.float32))
 
     def max_norm(self) -> float:
-        return float(np.sqrt((self.data.astype(np.float64) ** 2).sum(axis=0).max()))
+        return _max_norm(self.data)
 
     def mean_norm(self) -> float:
         return float(np.sqrt((self.data.astype(np.float64) ** 2).sum(axis=0)).mean())
@@ -140,9 +138,19 @@ def index_coords(geometry: GridGeometry) -> np.ndarray:
 
 
 def _sample_many(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
+    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...)."""
     # mode="nearest" extends edges, which for order<=1 equals clamping the
     # coordinates to [0, dim-1].
+    if data.ndim == 4:
+        return np.stack([_sample_many(comp, coords, order) for comp in data])
     return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
+
+
+def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
+    """Sample data (scalar or 3-component) through the mapping z - disp(z),
+    building the coordinate grid once for all components."""
+    coords = np.indices(disp.shape[1:], dtype=np.float32) - disp
+    return _sample_many(data, coords, order)
 
 
 def trilinear_sample(vol: Volume, p) -> float:
@@ -160,15 +168,13 @@ def trilinear_sample(vol: Volume, p) -> float:
 def warp_volume(vol: Volume, disp: VectorField) -> Volume:
     """Resample vol through the mapping z - g(z) (trilinear)."""
     require_same_geometry(vol, disp)
-    coords = index_coords(vol.geometry) - disp.data
-    return Volume(vol.geometry, _sample_many(vol.data, coords, order=1))
+    return Volume(vol.geometry, _pull(vol.data, disp.data, order=1))
 
 
 def warp_mask(mask: Mask, disp: VectorField) -> Mask:
     """Resample a binary mask through z - g(z) (nearest neighbor)."""
     require_same_geometry(mask, disp)
-    coords = index_coords(mask.geometry) - disp.data
-    return Mask(mask.geometry, _sample_many(mask.data, coords, order=0))
+    return Mask(mask.geometry, _pull(mask.data, disp.data, order=0))
 
 
 def gradient_central(vol: Volume) -> VectorField:
@@ -201,16 +207,25 @@ def _smooth_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def _smooth_field_array(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """Per-component smoothing of a (3, nx, ny, nz) array; sigma=0 returns arr."""
+    if sigma == 0:
+        return arr
+    return np.stack([_smooth_array(arr[c], sigma) for c in range(3)])
+
+
+def _max_norm(arr: np.ndarray) -> float:
+    """Largest vector length of a (3, nx, ny, nz) array, in float64."""
+    return float(np.sqrt((arr.astype(np.float64) ** 2).sum(axis=0).max()))
+
+
 def gaussian_smooth(obj, sigma: float):
     """Separable Gaussian smoothing of a Volume or (per component) a
     VectorField; sigma is in voxels and sigma=0 is the identity."""
-    if sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma}")
     if isinstance(obj, Volume):
         return Volume(obj.geometry, _smooth_array(obj.data, sigma))
     if isinstance(obj, VectorField):
-        comps = [_smooth_array(obj.data[c], sigma) for c in range(3)]
-        return VectorField(obj.geometry, np.stack(comps))
+        return VectorField(obj.geometry, _smooth_field_array(obj.data, sigma))
     raise ValidationError(f"cannot smooth object of type {type(obj).__name__}")
 
 
@@ -242,5 +257,4 @@ def upsample_field(field: VectorField, target: GridGeometry) -> VectorField:
     coarse field at f/2.
     """
     coords = index_coords(target) * 0.5
-    comps = [2.0 * _sample_many(field.data[c], coords, order=1) for c in range(3)]
-    return VectorField(target, np.stack(comps))
+    return VectorField(target, 2.0 * _sample_many(field.data, coords, order=1))

@@ -49,12 +49,14 @@ from .grids import (
     ValidationError,
     VectorField,
     Volume,
+    _max_norm,
+    _pull,
     _smooth_array,
+    _smooth_field_array,
     downsample2,
     require_same_geometry,
     upsample_field,
 )
-from scipy import ndimage
 
 # local-variance floor, as a fraction of the global intensity variance
 VARIANCE_FLOOR = 1e-6
@@ -149,11 +151,7 @@ def compose(f: VectorField, g: VectorField) -> VectorField:
 
 
 def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    coords = np.indices(f.shape[1:], dtype=np.float32) - g
-    out = np.empty_like(g)
-    for c in range(3):
-        out[c] = g[c] + ndimage.map_coordinates(f[c], coords, order=1, mode="nearest")
-    return out
+    return g + _pull(f, g)
 
 
 def exp_velocity(v: VectorField, exp_steps: int) -> VectorField:
@@ -238,7 +236,7 @@ class _LevelState:
 
         def half(vel, moving, fixed, eps_m, eps_f):
             disp = _exp_array(vel, steps)
-            warped = _warp_array(moving, disp)
+            warped = _pull(moving, disp)
             return (disp, warped, *_lcc(warped, fixed, sigma, eps_m, eps_f))
 
         backward = pool.submit(half, -v, target, source, eps_t, eps_s)
@@ -260,26 +258,11 @@ class _LevelState:
         return self._direction
 
 
-def _max_norm(arr: np.ndarray) -> float:
-    return float(np.sqrt((arr.astype(np.float64) ** 2).sum(axis=0).max()))
-
-
 def _exp_array(v: np.ndarray, steps: int) -> np.ndarray:
     d = (v / float(2 ** steps)).astype(np.float32)
     for _ in range(steps):
         d = _compose_arrays(d, d)
     return d
-
-
-def _warp_array(img: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    coords = np.indices(img.shape, dtype=np.float32) - disp
-    return ndimage.map_coordinates(img, coords, order=1, mode="nearest")
-
-
-def _smooth_field_array(arr: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma == 0:
-        return arr
-    return np.stack([_smooth_array(arr[c], sigma) for c in range(3)])
 
 
 def register(source: Volume, target: Volume,

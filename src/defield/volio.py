@@ -43,33 +43,30 @@ def _header(geometry: GridGeometry, dtype: str, components: int | None) -> bytes
     return ("\n".join(lines) + "\n\n").encode("ascii")
 
 
-def _write(path, geometry, dtype, components, payload: bytes) -> None:
+def _write(path, geometry, dtype: str, components: int | None, arr) -> None:
+    """Header, then arr cast to the little-endian DTYPE in x-fastest order."""
     with open(path, "wb") as fh:
         fh.write(_header(geometry, dtype, components))
-        fh.write(payload)
+        fh.write(np.asarray(arr).astype(_DTYPES[dtype]).ravel(order="F").tobytes())
 
 
 def write_volume(path, vol: Volume) -> None:
-    _write(path, vol.geometry, "float32-le", None,
-           vol.data.astype("<f4").ravel(order="F").tobytes())
+    _write(path, vol.geometry, "float32-le", None, vol.data)
 
 
 def write_mask(path, mask: Mask) -> None:
-    _write(path, mask.geometry, "uint8", None,
-           mask.data.astype("u1").ravel(order="F").tobytes())
+    _write(path, mask.geometry, "uint8", None, mask.data)
 
 
 def write_labels(path, geometry: GridGeometry, labels: np.ndarray) -> None:
     """uint8 label grid (e.g. region partitions with codes 0..3)."""
-    labels = np.asarray(labels, dtype="u1")
-    if labels.shape != geometry.dims:
-        raise VolFormatError(f"label shape {labels.shape} != dims {geometry.dims}")
-    _write(path, geometry, "uint8", None, labels.ravel(order="F").tobytes())
+    if np.shape(labels) != geometry.dims:
+        raise VolFormatError(f"label shape {np.shape(labels)} != dims {geometry.dims}")
+    _write(path, geometry, "uint8", None, labels)
 
 
 def write_field(path, field: VectorField) -> None:
-    _write(path, field.geometry, "float32-le", 3,
-           field.data.astype("<f4").ravel(order="F").tobytes())
+    _write(path, field.geometry, "float32-le", 3, field.data)
 
 
 def _parse_header(path, raw: bytes):
@@ -127,31 +124,29 @@ def read_raw(path):
     return geometry, flat.reshape(shape, order="F"), dtype, components
 
 
+def _read(path, dtype: str, components: int | None, what: str):
+    """(geometry, array) of a .vol file that must hold the given DTYPE and
+    COMPONENTS."""
+    geometry, arr, got_dtype, got_components = read_raw(path)
+    if got_dtype != dtype or got_components != components:
+        raise VolFormatError(f"{path}: not a {what}")
+    return geometry, arr
+
+
 def read_volume(path) -> Volume:
-    geometry, arr, dtype, components = read_raw(path)
-    if dtype != "float32-le" or components is not None:
-        raise VolFormatError(f"{path}: not a scalar float32 volume")
-    return Volume(geometry, arr)
+    return Volume(*_read(path, "float32-le", None, "scalar float32 volume"))
 
 
 def read_mask(path) -> Mask:
-    geometry, arr, dtype, components = read_raw(path)
-    if dtype != "uint8" or components is not None:
-        raise VolFormatError(f"{path}: not a uint8 mask")
+    geometry, arr = _read(path, "uint8", None, "uint8 mask")
     if arr.max(initial=0) > 1:
         raise VolFormatError(f"{path}: mask has values outside {{0,1}}")
     return Mask(geometry, arr)
 
 
 def read_labels(path):
-    geometry, arr, dtype, components = read_raw(path)
-    if dtype != "uint8" or components is not None:
-        raise VolFormatError(f"{path}: not a uint8 label grid")
-    return geometry, arr
+    return _read(path, "uint8", None, "uint8 label grid")
 
 
 def read_field(path) -> VectorField:
-    geometry, arr, dtype, components = read_raw(path)
-    if dtype != "float32-le" or components != 3:
-        raise VolFormatError(f"{path}: not a 3-component float32 field")
-    return VectorField(geometry, arr)
+    return VectorField(*_read(path, "float32-le", 3, "3-component float32 field"))

@@ -173,22 +173,32 @@ def test_classify_empty_masks_warns_but_succeeds(tmp_path, capsys):
     assert "insufficient region" in captured
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_classify_constant_volume_names_patient(tmp_path, capsys, workers):
+@pytest.mark.parametrize("case, workers", [
+    pytest.param("constant", "1", id="1"),
+    pytest.param("constant", "2", id="2"),
+    pytest.param("volume-grid", "1", id="volume-grid-1"),
+    pytest.param("volume-grid", "2", id="volume-grid-2"),
+    pytest.param("mask-grid", "1", id="mask-grid-1"),
+    pytest.param("mask-grid", "2", id="mask-grid-2"),
+])
+def test_classify_constant_volume_names_patient(tmp_path, capsys, case, workers):
+    # p1's last week is constant, or its volume or mask lies on another grid;
     # the error crosses the process pool when workers > 1, so it must pickle
     g = GridGeometry((16, 16, 16))
+    other = GridGeometry((20, 20, 20))
     rng = np.random.default_rng(1)
     rows = ["patient_id,week,volume_path,mask_path,recist"]
-    mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
     for pid in ("p0", "p1"):
         for week in range(3):
-            flat = pid == "p1" and week == 2
-            data = (np.full(g.dims, 1.0) if flat
-                    else rng.uniform(0.5, 1.5, size=g.dims))
+            odd = pid == "p1" and week == 2
+            vol_g = other if odd and case == "volume-grid" else g
+            mask_g = other if odd and case == "mask-grid" else g
+            data = (np.full(vol_g.dims, 1.0) if odd and case == "constant"
+                    else rng.uniform(0.5, 1.5, size=vol_g.dims))
             vol_path = tmp_path / f"{pid}w{week}.vol"
             mask_path = tmp_path / f"{pid}m{week}.vol"
-            volio.write_volume(vol_path, Volume(g, data.astype(np.float32)))
-            volio.write_mask(mask_path, mask)
+            volio.write_volume(vol_path, Volume(vol_g, data.astype(np.float32)))
+            volio.write_mask(mask_path, Mask(mask_g, np.zeros(mask_g.dims, dtype=np.uint8)))
             rows.append(f"{pid},{week},{vol_path.name},{mask_path.name},NA")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join(rows) + "\n")
@@ -199,7 +209,9 @@ def test_classify_constant_volume_names_patient(tmp_path, capsys, workers):
     assert code == EXIT_INVALID
     assert record["error"] == "invalid-input"
     assert record["message"].startswith("patient p1, weeks 1->2: ")
-    assert "target volume is constant" in record["message"]
+    expected = ("target volume is constant" if case == "constant"
+                else "geometry mismatch: ")
+    assert expected in record["message"]
 
 
 def test_missing_input_error_record(tmp_path, capsys):

@@ -12,6 +12,7 @@ from defield.cohort import (
     WeekEntry,
     build_contingency,
     classify,
+    fixture_path,
     load_fixture,
     load_manifest,
     metrics,
@@ -261,3 +262,18 @@ def test_load_manifest_validation(tmp_path):
     bad.write_text("patient_id,week\np0,0\n")
     with pytest.raises(ValidationError):
         load_manifest(bad)
+
+
+def test_bom_manifest_and_fixture_load_the_same_rows(tmp_path):
+    # a spreadsheet export may start the file with a UTF-8 byte-order mark
+    text = ("patient_id,week,volume_path,mask_path,recist\n"
+            "p0,0,v0.vol,m0.vol,PR\np0,1,v1.vol,m1.vol,PR\n"
+            "p1,0,/abs/v0.vol,/abs/m0.vol,NA\np1,2,/abs/v2.vol,/abs/m2.vol,NA\n")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_manifest(bom) == load_manifest(plain)
+    fixture = tmp_path / "fixture.csv"
+    with open(fixture_path(), "rb") as fh:
+        fixture.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert load_fixture(fixture) == FIXTURE

@@ -1,7 +1,11 @@
 """Container invariants and the resampling/smoothing/differentiation primitives."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from defield import grids
+from defield.defanalysis import JacobianMap, RegionPartition
 from defield.grids import (
     GeometryMismatch,
     GridGeometry,
@@ -64,6 +68,47 @@ class TestContainers:
         vol = Volume.full(G8, 1.0)
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 2.0
+
+
+# class, array attribute, dtype, shape on G8, a value outside the allowed range
+CONTAINERS = [
+    (Volume, "data", np.float32, G8.dims, np.nan),
+    (JacobianMap, "data", np.float32, G8.dims, np.inf),
+    (VectorField, "data", np.float32, (3, *G8.dims), np.nan),
+    (Mask, "data", np.uint8, G8.dims, 2),
+    (RegionPartition, "labels", np.uint8, G8.dims, 4),
+]
+
+
+@pytest.mark.parametrize("cls, attr, dtype, shape, bad", CONTAINERS,
+                         ids=[c[0].__name__ for c in CONTAINERS])
+def test_container_validates_and_freezes(cls, attr, dtype, shape, bad):
+    with pytest.raises(ValidationError):
+        cls(G8, np.zeros((*shape[:-1], 4), dtype=dtype))
+    arr = np.zeros(shape, dtype=dtype)
+    arr.flat[5] = bad
+    with pytest.raises(ValidationError):
+        cls(G8, arr)
+    arr.flat[5] = 1
+    stored = getattr(cls(G8, arr), attr)
+    assert stored.dtype == dtype and stored.shape == shape
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored.flat[0] = 1
+    # the caller's array of the same dtype is copied, not aliased
+    assert not np.shares_memory(stored, arr)
+    arr.flat[0] = 1
+    assert stored.flat[0] == 0
+
+
+def test_one_sampler_and_one_freezer():
+    # every pull-back sample and every read-only freeze goes through grids.py
+    src = Path(grids.__file__).parent
+    offenders = [(path.name, word) for path in sorted(src.glob("*.py"))
+                 if path.name != "grids.py"
+                 for word in ("map_coordinates", "flags.writeable")
+                 if word in path.read_text(encoding="utf-8")]
+    assert offenders == []
 
 
 class TestTrilinearSample:

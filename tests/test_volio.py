@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from defield import volio
+from defield.defanalysis import read_jacobian
 from defield.grids import GridGeometry, Mask, VectorField, Volume
 from defield.volio import VolFormatError
 
@@ -110,6 +111,14 @@ def test_wrong_reader_rejects(tmp_path):
         volio.read_mask(path)
     with pytest.raises(VolFormatError):
         volio.read_field(path)
+    with pytest.raises(VolFormatError):
+        volio.read_labels(path)
+    mask_path, field_path = tmp_path / "m.vol", tmp_path / "f.vol"
+    volio.write_mask(mask_path, Mask(GEOM, np.zeros(GEOM.dims, dtype=np.uint8)))
+    volio.write_field(field_path, VectorField.zero(GEOM))
+    for other in (mask_path, field_path):
+        with pytest.raises(VolFormatError):
+            read_jacobian(other)
 
 
 def test_mask_reader_rejects_label_values(tmp_path):
