@@ -48,9 +48,6 @@ class RegionPartition:
             self.labels, np.uint8, self.geometry.dims, "RegionPartition",
             max_value=LABEL_G))
 
-    def region_mask(self, region: str) -> np.ndarray:
-        return self.labels == _CODE[region]
-
     def counts(self) -> dict[str, int]:
         return {r: int((self.labels == _CODE[r]).sum()) for r in REGIONS}
 

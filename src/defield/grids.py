@@ -1,4 +1,4 @@
-"""Voxel-grid containers and resampling/smoothing/differentiation primitives.
+"""Voxel-grid containers and resampling/smoothing primitives.
 
 Conventions used throughout the package:
 
@@ -153,18 +153,6 @@ def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
     return _sample_many(data, coords, order)
 
 
-def trilinear_sample(vol: Volume, p) -> float:
-    """Trilinear blend of the 8 voxels around continuous index coordinate p.
-
-    Coordinates outside [0, dim-1] clamp to the boundary.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValidationError(f"expected a 3-coordinate, got shape {p.shape}")
-    out = _sample_many(vol.data, p.reshape(3, 1), order=1)
-    return float(out[0])
-
-
 def warp_volume(vol: Volume, disp: VectorField) -> Volume:
     """Resample vol through the mapping z - g(z) (trilinear)."""
     require_same_geometry(vol, disp)
@@ -175,13 +163,6 @@ def warp_mask(mask: Mask, disp: VectorField) -> Mask:
     """Resample a binary mask through z - g(z) (nearest neighbor)."""
     require_same_geometry(mask, disp)
     return Mask(mask.geometry, _pull(mask.data, disp.data, order=0))
-
-
-def gradient_central(vol: Volume) -> VectorField:
-    """Per-axis derivative in index units: central differences at interior
-    voxels, one-sided on the faces."""
-    grads = np.gradient(vol.data.astype(np.float64), axis=(0, 1, 2))
-    return VectorField(vol.geometry, np.stack(grads).astype(np.float32))
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:

@@ -20,7 +20,16 @@ the halved step falls below MIN_STEP_FRACTION * step_scale.
 Each level state computes its symmetric energy once, and builds its
 smoothed update direction at most once from the same local statistics: a
 rejection only rescales the cached direction, and the returned transform
-reuses the final state's exponentials and warped source.
+reuses the final state's exponentials and warped source. The fixed image's
+statistics (fbar and C) do not change within a pyramid level, so they are
+computed once per level for each direction (the target for the forward
+half, the source for the backward half) and shared by every state of the
+level, the identity check and the final never-worse-than-identity check;
+a state smooths only its warped moving image.
+
+Scaling and squaring takes the fewest steps that keep the scaled velocity
+below half a voxel (auto_exp_steps, as in Arsigny et al., MICCAI 2006);
+exp_steps is only a lower bound on that count.
 
 The forward half of a state (exp(v), the warped source, the forward
 statistics and force) and its backward half (exp(-v), the warped target,
@@ -73,7 +82,7 @@ class RegistrationParams:
     lcc_sigma: float = 3.0        # Gaussian window of the local correlation
     fluid_sigma: float = 2.0      # update-field smoothing
     diffusion_sigma: float = 1.5  # velocity-field smoothing
-    exp_steps: int = 4            # minimum scaling-and-squaring steps (auto-raised)
+    exp_steps: int = 1            # minimum scaling-and-squaring steps (auto-raised)
     step_scale: float = 1.0       # max update length in voxels per iteration
     convergence_tol: float = 1e-4
 
@@ -171,23 +180,20 @@ def auto_exp_steps(max_norm: float, minimum: int = 1) -> int:
     return steps
 
 
-def invert(t: SymmetricTransform) -> SymmetricTransform:
-    """Swap forward/backward and negate the velocity (exact involution)."""
-    return SymmetricTransform(
-        VectorField(t.geometry, -t.velocity.data),
-        t.backward,
-        t.forward,
-    )
-
-
-def _lcc(m, f, sigma, eps_m, eps_f):
-    """Mean squared local correlation of m against f, and the local
-    statistics (mbar, fbar, A, B, C, valid) that its force needs."""
-    mbar = m - _smooth_array(m, sigma)
+def _fixed_stats(f, sigma):
+    """The fixed image's share of the local statistics: (fbar, C)."""
     fbar = f - _smooth_array(f, sigma)
+    return fbar, _smooth_array(fbar * fbar, sigma)
+
+
+def _lcc(m, eps_m, fixed, eps_f, sigma):
+    """Mean squared local correlation of m against the fixed image whose
+    _fixed_stats are `fixed`, and the local statistics (mbar, fbar, A, B,
+    C, valid) that its force needs."""
+    fbar, c = fixed
+    mbar = m - _smooth_array(m, sigma)
     a = _smooth_array(mbar * fbar, sigma)
     b = _smooth_array(mbar * mbar, sigma)
-    c = _smooth_array(fbar * fbar, sigma)
     valid = (b > eps_m) & (c > eps_f)
     rho2 = np.zeros_like(a)
     np.divide(a * a, b * c, out=rho2, where=valid)
@@ -217,31 +223,32 @@ def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
         raise ValidationError("lcc_sigma must be > 0")
     eps_a = VARIANCE_FLOOR * float(a.data.var(dtype=np.float64))
     eps_b = VARIANCE_FLOOR * float(b.data.var(dtype=np.float64))
-    return _lcc(a.data, b.data, lcc_sigma, eps_a, eps_b)[0]
+    return _lcc(a.data, eps_a, _fixed_stats(b.data, lcc_sigma), eps_b,
+                lcc_sigma)[0]
 
 
 class _LevelState:
     """Velocity plus its exponentials, warped images and symmetric energy
     at one level; the local statistics are kept only until the update
-    direction is built from them. The backward half of each computation
-    runs on the helper thread of `pool` while the caller runs the forward
-    half."""
+    direction is built from them. `fwd_in` and `bwd_in` are the level's
+    (moving, eps_moving, fixed stats, eps_fixed) for each half. The
+    backward half of each computation runs on the helper thread of `pool`
+    while the caller runs the forward half."""
 
-    def __init__(self, v, source, target, params, eps_s, eps_t, pool):
+    def __init__(self, v, fwd_in, bwd_in, params, pool):
         self.v = v
         self.params = params
         self._pool = pool
         steps = auto_exp_steps(_max_norm(v), params.exp_steps)
         sigma = params.lcc_sigma
 
-        def half(vel, moving, fixed, eps_m, eps_f):
+        def half(vel, moving, eps_m, fixed, eps_f):
             disp = _exp_array(vel, steps)
             warped = _pull(moving, disp)
-            return (disp, warped, *_lcc(warped, fixed, sigma, eps_m, eps_f))
+            return (disp, warped, *_lcc(warped, eps_m, fixed, eps_f, sigma))
 
-        backward = pool.submit(half, -v, target, source, eps_t, eps_s)
-        self.fwd, self.warped_src, e_f, self._stats_f = half(
-            v, source, target, eps_s, eps_t)
+        backward = pool.submit(half, -v, *bwd_in)
+        self.fwd, self.warped_src, e_f, self._stats_f = half(v, *fwd_in)
         self.bwd, self.warped_tgt, e_b, self._stats_b = backward.result()
         self.energy = 0.5 * (e_f + e_b)
         self._direction = None
@@ -290,6 +297,7 @@ def register(source: Volume, target: Volume,
     pyr_src.reverse()
     pyr_tgt.reverse()
 
+    sigma = params.lcc_sigma
     trace = ConvergenceTrace()
     state = None
     # one helper thread per call, joined before return (see module docstring)
@@ -306,14 +314,16 @@ def register(source: Volume, target: Volume,
             t_arr = tgt_l.data
             eps_s = VARIANCE_FLOOR * float(s_arr.var(dtype=np.float64))
             eps_t = VARIANCE_FLOOR * float(t_arr.var(dtype=np.float64))
+            fwd_in = (s_arr, eps_s, _fixed_stats(t_arr, sigma), eps_t)
+            bwd_in = (t_arr, eps_t, _fixed_stats(s_arr, sigma), eps_s)
 
-            state = _LevelState(v, s_arr, t_arr, params, eps_s, eps_t, pool)
+            state = _LevelState(v, fwd_in, bwd_in, params, pool)
             # coarse-level velocities that do not beat the identity are discarded
             if level > 0 and _max_norm(v) > 0:
-                e_zero, _ = _lcc(s_arr, t_arr, params.lcc_sigma, eps_s, eps_t)
+                e_zero, _ = _lcc(*fwd_in, sigma)
                 if state.energy < e_zero:
-                    state = _LevelState(np.zeros_like(v), s_arr, t_arr, params,
-                                        eps_s, eps_t, pool)
+                    state = _LevelState(np.zeros_like(v), fwd_in, bwd_in, params,
+                                        pool)
 
             step = params.step_scale
             for iteration in range(params.iterations_per_level):
@@ -322,7 +332,7 @@ def register(source: Volume, target: Volume,
                     break
                 v_cand = _smooth_field_array(state.v + d * (step / dmax),
                                              params.diffusion_sigma).astype(np.float32)
-                cand = _LevelState(v_cand, s_arr, t_arr, params, eps_s, eps_t, pool)
+                cand = _LevelState(v_cand, fwd_in, bwd_in, params, pool)
                 accepted = cand.energy >= state.energy - 1e-12
                 trace.append(TraceEntry(level, iteration,
                                         cand.energy if accepted else state.energy,
@@ -343,10 +353,11 @@ def register(source: Volume, target: Volume,
         VectorField(geometry, state.fwd),
         VectorField(geometry, state.bwd),
     )
-    # contract: never worse than the identity alignment
-    sim_before = lcc_similarity(source, target, params.lcc_sigma)
-    sim_after = lcc_similarity(Volume(geometry, state.warped_src), target,
-                               params.lcc_sigma)
+    # contract: never worse than the identity alignment, measured as
+    # lcc_similarity would against the finest level's fixed statistics
+    sim_before, _ = _lcc(*fwd_in, sigma)
+    eps_w = VARIANCE_FLOOR * float(state.warped_src.var(dtype=np.float64))
+    sim_after, _ = _lcc(state.warped_src, eps_w, fwd_in[2], eps_t, sigma)
     if sim_after < sim_before:
         zero = VectorField.zero(geometry)
         transform = SymmetricTransform(zero, zero, zero)

@@ -2,6 +2,7 @@
 and idempotent artifacts."""
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,46 @@ def test_duplicate_vol_header_key_error_record(tmp_path, capsys):
     assert "duplicate header key 'SPACING'" in record["message"]
 
 
+def _crlf(header_and_payload: bytes) -> bytes:
+    header, _, payload = header_and_payload.partition(b"\n\n")
+    return header.replace(b"\n", b"\r\n") + b"\r\n\r\n" + payload
+
+
+# (case, edit of a valid 4^3 .vol file, fill value of its payload)
+MALFORMED_VOL = [
+    ("crlf-header", _crlf, 1.0),
+    # a payload that holds "\n\n" must not end a CRLF header early
+    ("crlf-header-newline-payload", _crlf,
+     float(np.frombuffer(b"\n\n\n\n", dtype="<f4")[0])),
+    ("negative-spacing",
+     lambda raw: raw.replace(b"SPACING 1.0 1.0 1.0", b"SPACING 1.0 -1.0 1.0"), 1.0),
+    ("huge-dims",
+     lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 100000 100000 100000"), 1.0),
+]
+
+
+@pytest.mark.parametrize("edit,fill", [c[1:] for c in MALFORMED_VOL],
+                         ids=[c[0] for c in MALFORMED_VOL])
+def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill):
+    g = GridGeometry((4, 4, 4))
+    good = tmp_path / "good.vol"
+    volio.write_volume(good, Volume.full(g, fill))
+    bad = tmp_path / "bad.vol"
+    bad.write_bytes(edit(good.read_bytes()))
+    tracemalloc.start()
+    try:
+        code = main(["register", "--source", str(bad), "--target", str(good),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_FORMAT
+    assert record["error"] == "format-error"
+    # a header is rejected before any grid is allocated (10^15 voxels here)
+    assert peak < 1 << 20
+
+
 def test_invariant_violation_error_record(tmp_path, capsys):
     g = GridGeometry((12, 12, 12))
     flat = Volume.full(g, 1.0)
@@ -338,6 +379,8 @@ def test_config_registration_fields_match_params(phantom_dir, tmp_path):
     assert len(reg_fields) == 8
     assert [(f.name, f.default) for f in fields(PipelineConfig)][:8] == reg_fields
     assert len(fields(PipelineConfig)) == 14
+    # scaling and squaring raises the minimum of one step as needed
+    assert RegistrationParams().exp_steps == PipelineConfig().exp_steps == 1
     cfg = PipelineConfig(lcc_sigma=2.5, workers=2)
     assert cfg.registration_params() == RegistrationParams(lcc_sigma=2.5)
     # transform.json records exactly the registration block

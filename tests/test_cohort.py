@@ -277,3 +277,17 @@ def test_bom_manifest_and_fixture_load_the_same_rows(tmp_path):
     with open(fixture_path(), "rb") as fh:
         fixture.write_bytes(b"\xef\xbb\xbf" + fh.read())
     assert load_fixture(fixture) == FIXTURE
+
+
+def test_crlf_manifest_loads_the_same_rows(tmp_path):
+    # a manifest saved on Windows ends its lines with CRLF
+    text = ("patient_id,week,volume_path,mask_path,recist\n"
+            "p0,0,v0.vol,m0.vol,PR\np0,1,v1.vol,m1.vol,PR\n"
+            "p1,0,/abs/v0.vol,/abs/m0.vol,NA\np1,2,/abs/v2.vol,/abs/m2.vol,NA\n")
+    plain, crlf = tmp_path / "plain.csv", tmp_path / "crlf.csv"
+    plain.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    records = load_manifest(crlf)
+    assert records == load_manifest(plain)
+    assert [r.recist.value for r in records] == ["PR", "NA"]
+    assert records[0].weeks[1].mask_path.endswith("m1.vol")

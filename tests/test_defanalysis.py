@@ -74,6 +74,24 @@ class TestJacobianMap:
         with pytest.raises(ValidationError):
             jacobian_map(VectorField.zero(GridGeometry((2, 12, 12))))
 
+    def test_constant(self):
+        # a uniform displacement has zero derivative, faces included
+        data = np.stack([np.full(G12.dims, v, np.float32) for v in (3.0, -1.5, 0.25)])
+        assert np.allclose(jacobian_map(VectorField(G12, data)).data, 1.0)
+
+    def test_linear_exact_everywhere(self):
+        # one-sided differences on the faces are exact for a linear field
+        jm = jacobian_map(linear_field(G12, np.diag([1.5, 1.0, 1.0])))
+        assert np.allclose(jm.data, 1.5, atol=1e-6)
+
+    def test_quadratic_interior_stencil(self):
+        # g_x = x^2 / 64: the central difference at x = 4 is
+        # (25 - 9) / (2 * 64) = 0.125, so J = 1 - 0.125
+        x = index_coords(G12)[0]
+        data = np.stack([x * x / 64, np.zeros_like(x), np.zeros_like(x)])
+        jm = jacobian_map(VectorField(G12, data))
+        assert jm.data[4, 4, 4] == pytest.approx(0.875)
+
 
 def box_mask(geometry, lo, hi):
     arr = np.zeros(geometry.dims, dtype=np.uint8)

@@ -1,4 +1,4 @@
-"""Container invariants and the resampling/smoothing/differentiation primitives."""
+"""Container invariants and the resampling/smoothing primitives."""
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,7 @@ from defield.grids import (
     downsample2,
     gaussian_kernel1d,
     gaussian_smooth,
-    gradient_central,
     index_coords,
-    trilinear_sample,
     upsample_field,
     warp_mask,
     warp_volume,
@@ -112,37 +110,49 @@ def test_one_sampler_and_one_freezer():
 
 
 class TestTrilinearSample:
+    """The trilinear blend and the boundary clamping of every pull-back
+    sample, through warp_volume with a constant displacement: voxel z
+    samples z - shift."""
+
     def test_constant(self):
         vol = Volume.full(G8, 5.0)
-        for p in [(0, 0, 0), (3.3, 4.7, 1.1), (-2.0, 9.5, 3.0)]:
-            assert trilinear_sample(vol, p) == pytest.approx(5.0)
+        for shift in [(0, 0, 0), (3.3, 4.7, 1.1), (-2.0, 9.5, 3.0)]:
+            out = warp_volume(vol, uniform_field(G8, *shift))
+            assert np.allclose(out.data, 5.0)
 
     def test_linearity_on_tiny_grid(self):
         g2 = GridGeometry((2, 2, 2))
-        x = np.indices(g2.dims, dtype=np.float32)[0]
-        vol = Volume(g2, x)
-        assert trilinear_sample(vol, (0.5, 0.0, 0.0)) == pytest.approx(0.5)
+        out = warp_volume(Volume(g2, xyz(g2)[0]), uniform_field(g2, -0.5, 0.0, 0.0))
+        # voxel 0 samples x = 0.5; voxel 1 samples x = 1.5, clamped to 1
+        assert np.allclose(out.data[0], 0.5)
+        assert np.allclose(out.data[1], 1.0)
 
     def test_affine_exact(self):
         x, y, z = xyz(G8)
-        vol = Volume(G8, x + 2 * y + 3 * z)
-        assert trilinear_sample(vol, (1.25, 2.5, 0.75)) == pytest.approx(8.5, abs=1e-5)
+        out = warp_volume(Volume(G8, x + 2 * y + 3 * z),
+                          uniform_field(G8, -0.25, -0.5, 0.25))
+        # voxel (1, 2, 1) samples (1.25, 2.5, 0.75)
+        assert out.data[1, 2, 1] == pytest.approx(8.5, abs=1e-5)
 
     def test_affine_exact_property(self):
         rng = np.random.default_rng(0)
+        x, y, z = xyz(G8)
+        inner = (slice(1, -1),) * 3
         for _ in range(20):
             coeffs = rng.uniform(-2, 2, size=4)
-            x, y, z = xyz(G8)
+            shift = rng.uniform(-1, 1, size=3)
             vol = Volume(G8, coeffs[0] + coeffs[1] * x + coeffs[2] * y + coeffs[3] * z)
-            p = rng.uniform(0, 7, size=3)
-            expected = coeffs[0] + coeffs[1:] @ p
-            assert trilinear_sample(vol, p) == pytest.approx(expected, abs=1e-4)
+            out = warp_volume(vol, uniform_field(G8, *shift))
+            expected = vol.data - coeffs[1:] @ shift
+            assert np.allclose(out.data[inner], expected[inner], atol=1e-4)
 
     def test_out_of_range_clamps(self):
-        x = xyz(G8)[0]
-        vol = Volume(G8, x)
-        assert trilinear_sample(vol, (-3.0, 0, 0)) == pytest.approx(0.0)
-        assert trilinear_sample(vol, (12.0, 0, 0)) == pytest.approx(7.0)
+        vol = Volume(G8, xyz(G8)[0])
+        low = warp_volume(vol, uniform_field(G8, 3.0, 0.0, 0.0))
+        high = warp_volume(vol, uniform_field(G8, -5.0, 0.0, 0.0))
+        # voxel 0 samples x = -3, voxel 7 samples x = 12
+        assert np.allclose(low.data[0], 0.0)
+        assert np.allclose(high.data[7], 7.0)
 
 
 class TestWarpVolume:
@@ -200,24 +210,6 @@ class TestWarpMask:
         disp = VectorField(G8, rng.uniform(-4, 4, size=(3, *G8.dims)).astype(np.float32))
         out = warp_mask(Mask(G8, arr), disp)
         assert set(np.unique(out.data)) <= {0, 1}
-
-
-class TestGradient:
-    def test_constant(self):
-        grad = gradient_central(Volume.full(G8, 3.0))
-        assert np.allclose(grad.data, 0.0)
-
-    def test_linear_exact_everywhere(self):
-        x = xyz(G8)[0]
-        grad = gradient_central(Volume(G8, 3.0 * x))
-        assert np.allclose(grad.data[0], 3.0)
-        assert np.allclose(grad.data[1:], 0.0)
-
-    def test_quadratic_interior_stencil(self):
-        x = xyz(G8)[0]
-        grad = gradient_central(Volume(G8, x * x))
-        # central difference at x=4: (25 - 9) / 2 = 8
-        assert grad.data[0, 4, 4, 4] == pytest.approx(8.0)
 
 
 class TestGaussianSmooth:

@@ -13,6 +13,7 @@ from defield.grids import (
     ValidationError,
     VectorField,
     Volume,
+    _smooth_array,
     index_coords,
     warp_volume,
 )
@@ -22,12 +23,10 @@ from defield.registration import (
     MIN_STEP_FRACTION,
     ConvergenceTrace,
     RegistrationParams,
-    SymmetricTransform,
     TraceEntry,
     auto_exp_steps,
     compose,
     exp_velocity,
-    invert,
     lcc_similarity,
     register,
     save_transform,
@@ -62,6 +61,32 @@ class TestLccSimilarity:
         vol = Volume.full(G24, 0.0)
         with pytest.raises(ValidationError):
             lcc_similarity(vol, vol, 0.0)
+
+    def test_cached_fixed_stats_match_recomputing_them(self):
+        """_lcc against a fixed image's precomputed (fbar, C) is bitwise
+        the computation that smooths both images itself."""
+        m = blob_volume(G24, (11.5, 11.5, 11.5), 7.0, seed=7).data
+        f = blob_volume(G24, (12.0, 11.0, 11.5), 6.5, seed=8).data
+        sigma, eps_m, eps_f = 3.0, 1e-7, 2e-7
+
+        mbar = m - _smooth_array(m, sigma)
+        fbar = f - _smooth_array(f, sigma)
+        a = _smooth_array(mbar * fbar, sigma)
+        b = _smooth_array(mbar * mbar, sigma)
+        c = _smooth_array(fbar * fbar, sigma)
+        valid = (b > eps_m) & (c > eps_f)
+        rho2 = np.zeros_like(a)
+        np.divide(a * a, b * c, out=rho2, where=valid)
+        np.clip(rho2, 0.0, 1.0, out=rho2)
+
+        fixed = registration._fixed_stats(f, sigma)
+        energy, stats = registration._lcc(m, eps_m, fixed, eps_f, sigma)
+        assert energy == float(rho2.mean(dtype=np.float64))
+        for got, want in zip(stats, (mbar, fbar, a, b, c, valid)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # the cache is only read: a second use gives the same bits
+        assert registration._lcc(m, eps_m, fixed, eps_f, sigma)[0] == energy
 
 
 class TestExpVelocity:
@@ -142,32 +167,6 @@ class TestCompose:
         assert np.allclose(h.data[0][4:], 3.0, atol=1e-6)
 
 
-class TestInvert:
-    def make_transform(self, c):
-        v = uniform_field(G24, (c, 0.0, 0.0))
-        fwd = exp_velocity(v, 4)
-        bwd = exp_velocity(VectorField(G24, -v.data), 4)
-        return SymmetricTransform(v, fwd, bwd)
-
-    def test_zero_velocity_fixed_point(self):
-        t = self.make_transform(0.0)
-        ti = invert(t)
-        assert np.array_equal(ti.velocity.data, t.velocity.data)
-        assert np.array_equal(ti.forward.data, t.backward.data)
-
-    def test_involution_bitwise(self):
-        t = self.make_transform(0.8)
-        tii = invert(invert(t))
-        assert np.array_equal(tii.velocity.data, t.velocity.data)
-        assert np.array_equal(tii.forward.data, t.forward.data)
-        assert np.array_equal(tii.backward.data, t.backward.data)
-
-    def test_uniform_velocity_negated(self):
-        t = self.make_transform(0.8)
-        ti = invert(t)
-        assert np.allclose(ti.velocity.data[0], -0.8, atol=1e-7)
-
-
 @pytest.fixture(scope="module")
 def blob_registration():
     """One registration of a blob against a known 1.5-voxel diffeomorphism."""
@@ -223,8 +222,9 @@ class TestRegister:
         assert residual.max_norm() < 0.5
 
     def test_transform_consistent_with_velocity(self, blob_registration):
-        *_, transform, trace = blob_registration
-        steps = auto_exp_steps(transform.velocity.max_norm(), 4)
+        *_, params, transform, trace = blob_registration
+        # the registration's own minimum, raised by the half-voxel rule
+        steps = auto_exp_steps(transform.velocity.max_norm(), params.exp_steps)
         fwd = exp_velocity(transform.velocity, steps)
         assert np.abs(fwd.data - transform.forward.data).max() < 1e-4
 
@@ -263,37 +263,6 @@ class TestRegister:
         assert 0.9 <= mean_j <= 1.1
 
 
-def test_register_work_counts(monkeypatch):
-    """Each iteration builds one candidate (one forward + backward
-    exponential pair); forces are built once per state that proposes a
-    step, never again after a rejection; the result adds no exponentials."""
-    counts = {"exp": 0, "force": 0}
-    exp_array, lcc_force = registration._exp_array, registration._lcc_force
-
-    def counted_exp(*args):
-        counts["exp"] += 1
-        return exp_array(*args)
-
-    def counted_force(*args):
-        counts["force"] += 1
-        return lcc_force(*args)
-
-    monkeypatch.setattr(registration, "_exp_array", counted_exp)
-    monkeypatch.setattr(registration, "_lcc_force", counted_force)
-    center = (11.5, 11.5, 11.5)
-    source = blob_volume(G24, center, 7.0, seed=31)
-    gt = pullback_field(RadialMap((RadialComponent(0.4, 5.0),)), center, G24)
-    _, trace = register(source, warp_volume(source, gt),
-                        RegistrationParams(pyramid_levels=1,
-                                           iterations_per_level=20))
-    entries = trace.entries
-    assert any(not e.accepted for e in entries)
-    # the initial state, then every accepted candidate that proposes a step
-    proposing = 1 + sum(e.accepted for e in entries[:-1])
-    assert counts["force"] == 2 * proposing
-    assert counts["exp"] == 2 * (1 + len(entries))
-
-
 def _small_pair(seed):
     center = (11.5, 11.5, 11.5)
     source = blob_volume(G24, center, 7.0, seed=seed)
@@ -302,6 +271,54 @@ def _small_pair(seed):
 
 
 SMALL_PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=8)
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(registration, name,
+                            counted(name, getattr(registration, name)))
+    return counts
+
+
+def test_register_work_counts(monkeypatch):
+    """Each iteration builds one candidate (one forward + backward
+    exponential pair); forces are built once per state that proposes a
+    step, never again after a rejection; the result adds no exponentials.
+    The fixed images' statistics are computed once per level and
+    direction, so a state smooths only its two warped moving images."""
+    counts = _count_calls(monkeypatch, ("_exp_array", "_lcc_force",
+                                        "_fixed_stats", "_smooth_array"))
+    _, trace = register(*_small_pair(31),
+                        RegistrationParams(pyramid_levels=1,
+                                           iterations_per_level=20))
+    entries = trace.entries
+    assert any(not e.accepted for e in entries)
+    # the initial state, then every accepted candidate that proposes a step
+    proposing = 1 + sum(e.accepted for e in entries[:-1])
+    states = 1 + len(entries)
+    assert counts["_lcc_force"] == 2 * proposing
+    assert counts["_exp_array"] == 2 * states
+    assert counts["_fixed_stats"] == 2
+    # fbar and C of each fixed image (2 x 2); mbar, A and B of each half
+    # (2 x 3 per state); two per force; the final never-worse-than-
+    # identity check's two energies
+    assert counts["_smooth_array"] == (2 * 2 + 2 * 3 * states
+                                       + 2 * counts["_lcc_force"] + 2 * 3)
+
+
+def test_fixed_stats_once_per_level_and_direction(monkeypatch):
+    counts = _count_calls(monkeypatch, ("_fixed_stats",))
+    _, trace = register(*_small_pair(45), SMALL_PARAMS)
+    assert trace.levels() == [0, 1]
+    assert counts["_fixed_stats"] == 2 * 2
 
 
 def test_register_leaves_no_thread_behind():
@@ -347,6 +364,20 @@ def test_trace_rejects_nonfinite_energy():
     trace = ConvergenceTrace()
     with pytest.raises(ValidationError):
         trace.append(TraceEntry(0, 0, float("nan"), 1.0, True))
+
+
+def test_transform_with_four_exp_steps_loads(tmp_path):
+    """A transform.json written with the earlier default minimum of four
+    squarings still loads, and its fields match that minimum."""
+    params = RegistrationParams(pyramid_levels=1, iterations_per_level=5,
+                                exp_steps=4)
+    transform, trace = register(*_small_pair(46), params)
+    save_transform(tmp_path, transform, params, trace)
+    back, params_back, _ = load_transform(tmp_path)
+    assert params_back.exp_steps == 4
+    steps = auto_exp_steps(back.velocity.max_norm(), params_back.exp_steps)
+    fwd = exp_velocity(back.velocity, steps)
+    assert np.abs(fwd.data - back.forward.data).max() < 1e-4
 
 
 def test_transform_save_load_roundtrip(tmp_path, blob_registration):
