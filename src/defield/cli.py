@@ -21,14 +21,15 @@ from . import defanalysis, volio
 from .cohort import (
     WEEK_LIMITS,
     CohortReport,
+    Decision,
+    Tabulation,
     ValidationError,
     boxplot_row,
-    fisher_json,
     load_fixture,
     load_manifest,
     reproduce_from_fixture,
     run_cohort,
-    tabulate,
+    tabulate_limits,
 )
 from .defanalysis import collect_samples, jacobian_map, partition_regions
 from .grids import DefieldError, GridGeometry, warp_mask
@@ -140,30 +141,35 @@ def _fmt(value, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
 
-def _write_tables(path, report) -> None:
-    """tables.csv of a CohortReport or FixtureReproduction: one row per week
-    limit that has a table; undefined metrics are empty fields."""
+def _write_csv(path, header: str, rows) -> None:
+    """A header line, then each row's fields written with str() and joined
+    by commas; LF line ends."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p\n")
-        for limit in WEEK_LIMITS:
-            table = report.contingency[limit]
-            if table is None:
-                continue
-            m = report.metric_table[limit]
-            orat, pval = report.fisher[limit]
-            fh.write(f"{limit},{table.a},{table.b},{table.c},{table.d},"
-                     f"{_fmt(m.accuracy, '.1f')},{_fmt(m.precision, '.1f')},"
-                     f"{_fmt(m.recall, '.1f')},{orat:.2f},{pval:.3f}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _write_tables(path, tables: dict[str, Tabulation | None]) -> None:
+    """tables.csv: one row per week limit that has a table; undefined
+    metrics are empty fields."""
+    rows = []
+    for limit, tab in tables.items():
+        if tab is None:
+            continue
+        m = tab.metrics
+        orat, pval = tab.fisher
+        rows.append([limit, *tab.contingency.as_tuple(),
+                     _fmt(m.accuracy, ".1f"), _fmt(m.precision, ".1f"),
+                     _fmt(m.recall, ".1f"), f"{orat:.2f}", f"{pval:.3f}"])
+    _write_csv(path, "limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p", rows)
 
 
 def _write_boxplot(path, rows: list[dict], keys: tuple[str, ...]) -> None:
     """boxplot.csv: the label columns in keys, then the boxplot_row fields."""
     columns = keys + ("n", "mean", "median", "q1", "q3",
                       "whisker_lo98", "whisker_hi98")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+    _write_csv(path, ",".join(columns), ([row[c] for c in columns] for row in rows))
 
 
 def cmd_register(args) -> int:
@@ -240,16 +246,12 @@ def cmd_stats(args) -> int:
                  "bootstrap_seed": cfg.bootstrap_seed,
                  "regions": report,
                  "records": records})
-    with open(os.path.join(out, "stats.csv"), "w", newline="\n") as fh:
-        fh.write("region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi\n")
-        for region in defanalysis.REGIONS:
-            entry = report[region]
-            if entry is None:
-                continue
-            if "normal_ci" in entry:
-                fh.write(f"{region},{entry['n']},{entry['mean']!r},{entry['sd']!r},"
-                         f"{entry['normal_ci'][0]!r},{entry['normal_ci'][1]!r},"
-                         f"{entry['bootstrap_ci'][0]!r},{entry['bootstrap_ci'][1]!r}\n")
+    _write_csv(os.path.join(out, "stats.csv"),
+               "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi",
+               ([region, entry["n"], entry["mean"], entry["sd"],
+                 *entry["normal_ci"], *entry["bootstrap_ci"]]
+                for region, entry in report.items()
+                if entry is not None and "normal_ci" in entry))
     _write_boxplot(os.path.join(out, "boxplot.csv"), boxplot_rows, ("region",))
     print(f"stats for {sum(1 for r in report.values() if r)} regions -> {out}")
     return EXIT_OK
@@ -259,15 +261,10 @@ def _split_report(report: CohortReport, ids: set[str]):
     sub = [p for p in report.patients if p.patient_id in ids]
     if not sub:
         return None
+    tables, errors = tabulate_limits(sub)
     out = {"n": len(sub)}
-    for limit in WEEK_LIMITS:
-        try:
-            table, m, fisher = tabulate([p.decisions[limit] for p in sub],
-                                        [p.recist for p in sub])
-            out[limit] = {"contingency": table.as_tuple(), "metrics": m.as_dict(),
-                          "fisher": fisher_json(fisher)}
-        except ValidationError as exc:
-            out[limit] = {"error": str(exc)}
+    for limit, tab in tables.items():
+        out[limit] = {"error": errors[limit]} if tab is None else tab.as_dict()
     return out
 
 
@@ -283,25 +280,24 @@ def cmd_classify(args) -> int:
             split = _split_report(report, set(id_csv.split(",")))
             payload.setdefault("splits", {})[name] = split
     _write_json(os.path.join(out, "report.json"), payload)
-    with open(os.path.join(out, "decisions.csv"), "w", newline="\n") as fh:
-        fh.write("patient_id,recist,decision_full,decision_3w,"
-                 "mu_R_full,mu_G_full,mu_U_full,mu_N_full,"
-                 "mu_R_3w,mu_G_3w,mu_U_3w,mu_N_3w,note\n")
-        for p in report.patients:
-            row = [p.patient_id, p.recist.value,
-                   p.decisions["all"].value, p.decisions["3"].value]
-            for limit in WEEK_LIMITS:
-                m = p.means[limit]
-                row += ["" if v is None else repr(v)
-                        for v in (m.mu_R, m.mu_G, m.mu_U, m.mu_N)]
-            note = "; ".join(m.note for m in p.means.values() if m.note)
-            row.append(note)
-            fh.write(",".join(row) + "\n")
-    _write_tables(os.path.join(out, "tables.csv"), report)
+    rows = []
+    for p in report.patients:
+        row = [p.patient_id, p.recist.value,
+               p.decisions["all"].value, p.decisions["3"].value]
+        for limit in WEEK_LIMITS:
+            m = p.means[limit]
+            row += ["" if v is None else v for v in (m.mu_R, m.mu_G, m.mu_U, m.mu_N)]
+        row.append("; ".join(m.note for m in p.means.values() if m.note))
+        rows.append(row)
+    _write_csv(os.path.join(out, "decisions.csv"),
+               "patient_id,recist,decision_full,decision_3w,"
+               "mu_R_full,mu_G_full,mu_U_full,mu_N_full,"
+               "mu_R_3w,mu_G_3w,mu_U_3w,mu_N_3w,note", rows)
+    _write_tables(os.path.join(out, "tables.csv"), report.tables)
     _write_boxplot(os.path.join(out, "boxplot.csv"), report.boxplot,
                    ("group", "region"))
     n_pr = {limit: sum(1 for p in report.patients
-                       if p.decisions[limit].value == "PR-classified")
+                       if p.decisions[limit] == Decision.PR_CLASSIFIED)
             for limit in WEEK_LIMITS}
     print(f"classified {len(report.patients)} patients: "
           f"{n_pr['all']} PR (full), {n_pr['3']} PR (three weeks)")
@@ -327,12 +323,11 @@ def cmd_phantom(args) -> int:
     for index, course in enumerate(courses):
         rows.extend(course.write(out, f"p{index:02d}", recist=args.recist))
     manifest = os.path.join(out, "manifest.csv")
-    with open(manifest, "w", newline="\n") as fh:
-        fh.write("patient_id,week,volume_path,mask_path,recist\n")
-        for row in rows:
-            fh.write(f"{row['patient_id']},{row['week']},"
-                     f"{os.path.relpath(row['volume_path'], out)},"
-                     f"{os.path.relpath(row['mask_path'], out)},{row['recist']}\n")
+    _write_csv(manifest, "patient_id,week,volume_path,mask_path,recist",
+               ([row["patient_id"], row["week"],
+                 os.path.relpath(row["volume_path"], out),
+                 os.path.relpath(row["mask_path"], out), row["recist"]]
+                for row in rows))
     print(f"wrote {args.patients} synthetic {args.mode} patients -> {manifest}")
     return EXIT_OK
 
@@ -342,12 +337,12 @@ def cmd_reproduce_paper(args) -> int:
     rep = reproduce_from_fixture(rows)
     out = _outdir(args)
     _write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
-    _write_tables(os.path.join(out, "tables.csv"), rep)
+    _write_tables(os.path.join(out, "tables.csv"), rep.tables)
     for limit, title in (("all", "full course"), ("3", "first three weeks")):
-        table = rep.contingency[limit]
-        orat, pval = rep.fisher[limit]
-        m = rep.metric_table[limit]
-        print(f"{title}: contingency {table.as_tuple()}, "
+        tab = rep.tables[limit]
+        orat, pval = tab.fisher
+        m = tab.metrics
+        print(f"{title}: contingency {tab.contingency.as_tuple()}, "
               f"OR = {orat:.2f}, p = {pval:.3f}, "
               f"accuracy {_fmt(m.accuracy, '.1f')}, "
               f"precision {_fmt(m.precision, '.1f')}, "

@@ -17,7 +17,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 
@@ -80,14 +80,6 @@ class RegionMeans:
     counts: dict[str, int] = field(default_factory=dict)
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "mu_R": self.mu_R, "mu_G": self.mu_G,
-            "mu_U": self.mu_U, "mu_N": self.mu_N,
-            "week_limit": self.week_limit, "counts": self.counts,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class WeekEntry:
@@ -101,7 +93,6 @@ class PatientRecord:
     patient_id: str
     weeks: list[WeekEntry]
     recist: RecistLabel = RecistLabel.NA
-    cached_means: dict[str, RegionMeans] = field(default_factory=dict)
     pair_samples: list[RegionSamples] | None = None
 
     def __post_init__(self):
@@ -186,16 +177,12 @@ def patient_region_means(record: PatientRecord, week_limit: str = "all",
     limit ("all" or "3" = first three weeks) and return the means."""
     if week_limit not in WEEK_LIMITS:
         raise ValidationError(f"week_limit must be 'all' or '3', got {week_limit!r}")
-    if week_limit in record.cached_means:
-        return record.cached_means[week_limit]
     samples = compute_pair_samples(record, params)
     n_pairs = len(samples) if week_limit == "all" else min(2, len(samples))
     if n_pairs < 1:
         raise ValidationError(
             f"patient {record.patient_id}: no week pairs within limit {week_limit}")
-    means = _means_from_samples(pool(samples[:n_pairs]), week_limit)
-    record.cached_means[week_limit] = means
-    return means
+    return _means_from_samples(pool(samples[:n_pairs]), week_limit)
 
 
 def build_contingency(decisions: list[Decision],
@@ -233,10 +220,6 @@ class Metrics:
     precision: float | None
     recall: float | None
 
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall}
-
 
 def metrics(table: Contingency2x2) -> Metrics:
     accuracy = 100.0 * (table.a + table.d) / table.total
@@ -245,17 +228,49 @@ def metrics(table: Contingency2x2) -> Metrics:
     return Metrics(accuracy, precision, recall)
 
 
-def tabulate(decisions: list[Decision], labels: list[RecistLabel]
-             ) -> tuple[Contingency2x2, Metrics, tuple[float, float]]:
-    """Contingency table, metrics and Fisher's exact test (odds ratio, p)
-    of one week limit's decisions against the RECIST labels."""
+@dataclass(frozen=True)
+class Tabulation:
+    """One week limit's contingency table, metrics and Fisher's exact test
+    (odds ratio, p)."""
+
+    contingency: Contingency2x2
+    metrics: Metrics
+    fisher: tuple[float, float]
+
+    def as_dict(self) -> dict:
+        return {"contingency": list(self.contingency.as_tuple()),
+                "metrics": asdict(self.metrics),
+                "fisher": {"odds_ratio": self.fisher[0], "p": self.fisher[1]}}
+
+
+def tabulate(decisions: list[Decision], labels: list[RecistLabel]) -> Tabulation:
+    """Tabulation of one week limit's decisions against the RECIST labels."""
     table = build_contingency(decisions, labels)
-    return table, metrics(table), fisher_exact(table)
+    return Tabulation(table, metrics(table), fisher_exact(table))
 
 
-def fisher_json(result: tuple[float, float] | None) -> dict | None:
-    """The report shape of a Fisher result: {"odds_ratio", "p"}, or None."""
-    return None if result is None else {"odds_ratio": result[0], "p": result[1]}
+def tabulate_limits(patients) -> tuple[dict[str, Tabulation | None], dict[str, str]]:
+    """Tabulation of each week limit over patients (anything with
+    `decisions` and `recist`); a limit that cannot be tabulated maps to None
+    and its error message is returned under the same limit."""
+    tables: dict[str, Tabulation | None] = {}
+    errors: dict[str, str] = {}
+    for limit in WEEK_LIMITS:
+        try:
+            tables[limit] = tabulate([p.decisions[limit] for p in patients],
+                                     [p.recist for p in patients])
+        except ValidationError as exc:
+            tables[limit] = None
+            errors[limit] = str(exc)
+    return tables, errors
+
+
+def tables_json(tables: dict[str, Tabulation | None]) -> dict:
+    """The report's `contingency`, `metrics` and `fisher` blocks, each
+    keyed by week limit (None where the limit has no table)."""
+    return {key: {limit: None if t is None else t.as_dict()[key]
+                  for limit, t in tables.items()}
+            for key in ("contingency", "metrics", "fisher")}
 
 
 @dataclass
@@ -266,10 +281,6 @@ class OrderingResult:
     order: list[str]
     t_stats: dict[str, dict[str, float]]
     p_values: dict[str, dict[str, float]]
-
-    def as_dict(self) -> dict:
-        return {"means": self.means, "order": self.order,
-                "t_stats": self.t_stats, "p_values": self.p_values}
 
 
 def population_ordering(pooled: RegionSamples) -> OrderingResult:
@@ -300,35 +311,25 @@ class PatientResult:
     means: dict[str, RegionMeans]
     decisions: dict[str, Decision]
 
-    def as_dict(self) -> dict:
-        return {
-            "patient_id": self.patient_id,
-            "recist": self.recist.value,
-            "means": {k: v.as_dict() for k, v in self.means.items()},
-            "decisions": {k: v.value for k, v in self.decisions.items()},
-        }
-
 
 @dataclass
 class CohortReport:
     patients: list[PatientResult]
-    contingency: dict[str, Contingency2x2 | None]
-    metric_table: dict[str, Metrics | None]
-    fisher: dict[str, tuple[float, float] | None]
+    tables: dict[str, Tabulation | None]
     ordering: OrderingResult | None
     warnings: list[str]
     boxplot: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         records = []
-        for limit, result in self.fisher.items():
-            if result is None:
+        for limit, tab in self.tables.items():
+            if tab is None:
                 continue
             records.append({
                 "test": "fisher_exact",
                 "inputs": {"week_limit": limit,
-                           "table": self.contingency[limit].as_tuple()},
-                "statistic": result[0], "p": result[1], "interval": None,
+                           "table": tab.contingency.as_tuple()},
+                "statistic": tab.fisher[0], "p": tab.fisher[1], "interval": None,
             })
         if self.ordering is not None:
             for x in REGIONS:
@@ -342,13 +343,9 @@ class CohortReport:
                             "interval": None,
                         })
         return {
-            "patients": [p.as_dict() for p in self.patients],
-            "contingency": {k: (v.as_tuple() if v else None)
-                            for k, v in self.contingency.items()},
-            "metrics": {k: (v.as_dict() if v else None)
-                        for k, v in self.metric_table.items()},
-            "fisher": {k: fisher_json(v) for k, v in self.fisher.items()},
-            "ordering": self.ordering.as_dict() if self.ordering else None,
+            "patients": [asdict(p) for p in self.patients],
+            **tables_json(self.tables),
+            "ordering": asdict(self.ordering) if self.ordering else None,
             "records": records,
             "boxplot": self.boxplot,
             "warnings": self.warnings,
@@ -385,16 +382,8 @@ def run_cohort(records: list[PatientRecord],
         results.append(PatientResult(record.patient_id, record.recist,
                                      means, decisions))
 
-    contingency: dict[str, Contingency2x2 | None] = {}
-    metric_table: dict[str, Metrics | None] = {}
-    fisher: dict[str, tuple[float, float] | None] = {}
-    for limit in WEEK_LIMITS:
-        try:
-            contingency[limit], metric_table[limit], fisher[limit] = tabulate(
-                [r.decisions[limit] for r in results], [r.recist for r in results])
-        except ValidationError as exc:
-            warnings.append(f"contingency [{limit}]: {exc}")
-            contingency[limit] = metric_table[limit] = fisher[limit] = None
+    tables, errors = tabulate_limits(results)
+    warnings += [f"contingency [{limit}]: {msg}" for limit, msg in errors.items()]
 
     ordering = None
     try:
@@ -403,8 +392,7 @@ def run_cohort(records: list[PatientRecord],
     except ValidationError as exc:
         warnings.append(f"ordering: {exc}")
     boxplot = _boxplot_rows(records)
-    return CohortReport(results, contingency, metric_table, fisher,
-                        ordering, warnings, boxplot)
+    return CohortReport(results, tables, ordering, warnings, boxplot)
 
 
 def _boxplot_rows(records: list[PatientRecord]) -> list[dict]:
@@ -444,6 +432,13 @@ def boxplot_row(values: np.ndarray, stats: SummaryStats) -> dict:
             "whisker_lo98": whiskers.lo, "whisker_hi98": whiskers.hi}
 
 
+def _recist(path, token: str) -> RecistLabel:
+    try:
+        return RecistLabel(token)
+    except ValueError:
+        raise ValidationError(f"{path}: unknown RECIST label {token!r}") from None
+
+
 def load_manifest(path) -> list[PatientRecord]:
     """Cohort manifest CSV `patient_id,week,volume_path,mask_path,recist`;
     relative paths resolve against the manifest's directory."""
@@ -467,11 +462,7 @@ def load_manifest(path) -> list[PatientRecord]:
                 p = row[key]
                 paths.append(p if os.path.isabs(p) else os.path.join(base, p))
             groups.setdefault(pid, []).append(WeekEntry(week, *paths))
-            try:
-                label = RecistLabel(row["recist"])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: unknown RECIST label {row['recist']!r}") from exc
+            label = _recist(path, row["recist"])
             if pid in labels and labels[pid] != label:
                 raise ValidationError(f"{path}: inconsistent RECIST for {pid}")
             labels[pid] = label
@@ -490,8 +481,7 @@ def load_manifest(path) -> list[PatientRecord]:
 @dataclass(frozen=True)
 class FixtureRow:
     patient_id: str
-    full: Decision
-    three_week: Decision
+    decisions: dict[str, Decision]
     recist: RecistLabel
 
 
@@ -528,9 +518,9 @@ def load_fixture(path=None) -> list[FixtureRow]:
                 return Decision.PR_CLASSIFIED if token == "Y" else Decision.NO_DECISION
             rows.append(FixtureRow(
                 row["patient_id"],
-                as_decision(row["classification_full"]),
-                as_decision(row["classification_3w"]),
-                RecistLabel(row["rx_response"]),
+                {"all": as_decision(row["classification_full"]),
+                 "3": as_decision(row["classification_3w"])},
+                _recist(path, row["rx_response"]),
             ))
     if not rows:
         raise ValidationError(f"{path}: fixture has no rows")
@@ -542,9 +532,7 @@ class FixtureReproduction:
     n_patients: int
     n_na: int
     n_pr_or_cr: int
-    contingency: dict[str, Contingency2x2]
-    metric_table: dict[str, Metrics]
-    fisher: dict[str, tuple[float, float]]
+    tables: dict[str, Tabulation]
     flags: list[str]
 
     def as_dict(self) -> dict:
@@ -552,9 +540,7 @@ class FixtureReproduction:
             "n_patients": self.n_patients,
             "n_na": self.n_na,
             "n_pr_or_cr": self.n_pr_or_cr,
-            "contingency": {k: v.as_tuple() for k, v in self.contingency.items()},
-            "metrics": {k: v.as_dict() for k, v in self.metric_table.items()},
-            "fisher": {k: fisher_json(v) for k, v in self.fisher.items()},
+            **tables_json(self.tables),
             "reference_summary": REFERENCE_SUMMARY,
             "flags": self.flags,
         }
@@ -565,24 +551,16 @@ def reproduce_from_fixture(rows: list[FixtureRow]) -> FixtureReproduction:
     per-patient classification fixture, with discrepancies between computed
     and reference summary values flagged."""
     labels = [r.recist for r in rows]
-    decisions = {"all": [r.full for r in rows],
-                 "3": [r.three_week for r in rows]}
-    contingency = {}
-    metric_table = {}
-    fisher = {}
+    tables = {}
     flags = []
     for limit in WEEK_LIMITS:
-        contingency[limit], m, fisher[limit] = tabulate(decisions[limit], labels)
-        metric_table[limit] = m
+        tables[limit] = tabulate([r.decisions[limit] for r in rows], labels)
         ref = REFERENCE_SUMMARY[limit]
-        for name, computed in (("accuracy", m.accuracy),
-                               ("precision", m.precision),
-                               ("recall", m.recall)):
+        for name, computed in asdict(tables[limit].metrics).items():
             if computed is not None and abs(computed - ref[name]) > 0.1:
                 flags.append(
                     f"{name} [{limit}]: computed {computed:.1f} differs from "
                     f"reference summary {ref[name]:.1f}")
     n_na = sum(1 for r in rows if r.recist == RecistLabel.NA)
     n_pr = sum(1 for r in rows if r.recist.is_pr_or_cr)
-    return FixtureReproduction(len(rows), n_na, n_pr, contingency,
-                               metric_table, fisher, flags)
+    return FixtureReproduction(len(rows), n_na, n_pr, tables, flags)

@@ -175,15 +175,20 @@ def write_samples_csv(path, samples: RegionSamples) -> None:
 def read_samples_csv(path) -> RegionSamples:
     collected: dict[str, list[float]] = {r: [] for r in REGIONS}
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "label,j_value":
-            raise ValidationError(f"{path}: unexpected samples header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            region, _, value = line.partition(",")
-            if region not in _CODE:
-                raise ValidationError(f"{path}: unknown region label {region!r}")
-            collected[region].append(float(value))
+        try:
+            header = fh.readline().strip()
+            if header != "label,j_value":
+                raise ValidationError(f"{path}: unexpected samples header {header!r}")
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                region, _, value = line.partition(",")
+                if region not in _CODE:
+                    raise ValidationError(f"{path}: unknown region label {region!r}")
+                collected[region].append(float(value))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not ASCII: {exc}") from None
+        except ValueError:
+            raise ValidationError(f"{path}: bad j_value {value!r}") from None
     return RegionSamples({r: np.array(v) for r, v in collected.items()})

@@ -70,6 +70,8 @@ def write_field(path, field: VectorField) -> None:
 
 
 def _parse_header(path, raw: bytes):
+    if raw.endswith(b"\r\n", 0, raw.find(b"\n") + 1):
+        raise VolFormatError(f"{path}: header has CRLF line endings, expected LF")
     end = raw.find(b"\n\n")
     if end < 0:
         raise VolFormatError(f"{path}: missing blank line after header")

@@ -76,15 +76,15 @@ def test_criterion_1_fixture_reproduction(tmp_path, capsys):
 
         from defield.cohort import load_fixture, reproduce_from_fixture
         rep = reproduce_from_fixture(load_fixture())
-        assert rep.contingency["all"].as_tuple() == (12, 4, 9, 13)
-        assert rep.contingency["3"].as_tuple() == (11, 3, 10, 14)
-        or_full, p_full = rep.fisher["all"]
-        or_3w, p_3w = rep.fisher["3"]
+        assert rep.tables["all"].contingency.as_tuple() == (12, 4, 9, 13)
+        assert rep.tables["3"].contingency.as_tuple() == (11, 3, 10, 14)
+        or_full, p_full = rep.tables["all"].fisher
+        or_3w, p_3w = rep.tables["3"].fisher
         assert or_full == pytest.approx(4.33, abs=0.01)
         assert p_full == pytest.approx(0.051, abs=0.005)
         assert or_3w == pytest.approx(5.13, abs=0.01)
         assert p_3w == pytest.approx(0.043, abs=0.005)
-        m_full, m_3w = rep.metric_table["all"], rep.metric_table["3"]
+        m_full, m_3w = rep.tables["all"].metrics, rep.tables["3"].metrics
         assert m_full.precision == pytest.approx(75.0, abs=0.1)
         assert m_3w.precision == pytest.approx(78.6, abs=0.1)
         assert m_3w.recall == pytest.approx(52.4, abs=0.1)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, config handling, error records,
 and idempotent artifacts."""
+import hashlib
 import json
 import os
 import tracemalloc
@@ -54,16 +55,22 @@ def test_reproduce_paper_idempotent(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_reproduce_paper_without_pr_classified_patients(tmp_path, capsys):
+def _edited_fixture(tmp_path, **values):
+    """The shipped fixture with the given columns set to one value."""
     import csv
     from defield.cohort import fixture_path
     with open(fixture_path(), newline="") as fh:
         rows = list(csv.DictReader(fh))
-    fixture = tmp_path / "all_n.csv"
+    fixture = tmp_path / "edited.csv"
     with open(fixture, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerows({**row, "classification_full": "N"} for row in rows)
+        writer.writerows({**row, **values} for row in rows)
+    return fixture
+
+
+def test_reproduce_paper_without_pr_classified_patients(tmp_path, capsys):
+    fixture = _edited_fixture(tmp_path, classification_full="N")
     out = tmp_path / "rep"
     code = main(["reproduce-paper", "--fixture", str(fixture), "--out", str(out)])
     stdout = capsys.readouterr().out
@@ -74,6 +81,42 @@ def test_reproduce_paper_without_pr_classified_patients(tmp_path, capsys):
     assert lines[2].startswith("3,11,3,10,14,")
     assert "full course: contingency (0, 0, 21, 17)" in stdout
     assert "precision , recall 0.0" in stdout
+
+
+# sha256 of reproduce-paper's artifacts, with the shipped fixture and with
+# every full-course classification set to N
+REPRODUCTION_SHA256 = {
+    ("shipped", "reproduction.json"):
+        "85e106f9c2d5ba95bc531242918fcca7fa3ceb56a9cc72192d396dabddf692f7",
+    ("shipped", "tables.csv"):
+        "758afff9bb6aca0a487e3e5f35ce415c5c1b6ea4384ba0f82f173dd602795105",
+    ("all-n", "reproduction.json"):
+        "4aeffafb9c748feb1e3f99cdc533544f90e10f7b7129e96cda39f61c50d20fdd",
+    ("all-n", "tables.csv"):
+        "031d1ffc2f1d1c3417f56733d434371de891ea8e3594c09a6045692364b788bb",
+}
+
+
+@pytest.mark.parametrize("fixture", ["shipped", "all-n"])
+def test_reproduce_paper_bytes_are_pinned(tmp_path, fixture):
+    argv = ["reproduce-paper", "--out", str(tmp_path / "rep")]
+    if fixture == "all-n":
+        argv += ["--fixture", str(_edited_fixture(tmp_path, classification_full="N"))]
+    assert main(argv) == EXIT_OK
+    for name in ("reproduction.json", "tables.csv"):
+        digest = hashlib.sha256((tmp_path / "rep" / name).read_bytes()).hexdigest()
+        assert digest == REPRODUCTION_SHA256[(fixture, name)], name
+
+
+def test_reproduce_paper_unknown_response_label_is_invalid_input(tmp_path, capsys):
+    fixture = _edited_fixture(tmp_path, rx_response="XX")
+    code = main(["reproduce-paper", "--fixture", str(fixture),
+                 "--out", str(tmp_path / "rep")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert str(fixture) in record["message"]
+    assert "unknown RECIST label 'XX'" in record["message"]
 
 
 def test_register_jacobian_regions_stats_chain(phantom_dir, tmp_path):
@@ -253,22 +296,25 @@ def _crlf(header_and_payload: bytes) -> bytes:
     return header.replace(b"\n", b"\r\n") + b"\r\n\r\n" + payload
 
 
-# (case, edit of a valid 4^3 .vol file, fill value of its payload)
+# (case, edit of a valid 4^3 .vol file, fill value of its payload, text the
+# error message must hold)
 MALFORMED_VOL = [
-    ("crlf-header", _crlf, 1.0),
+    ("crlf-header", _crlf, 1.0, "CRLF"),
     # a payload that holds "\n\n" must not end a CRLF header early
     ("crlf-header-newline-payload", _crlf,
-     float(np.frombuffer(b"\n\n\n\n", dtype="<f4")[0])),
+     float(np.frombuffer(b"\n\n\n\n", dtype="<f4")[0]), "CRLF"),
     ("negative-spacing",
-     lambda raw: raw.replace(b"SPACING 1.0 1.0 1.0", b"SPACING 1.0 -1.0 1.0"), 1.0),
+     lambda raw: raw.replace(b"SPACING 1.0 1.0 1.0", b"SPACING 1.0 -1.0 1.0"), 1.0,
+     "bad geometry"),
     ("huge-dims",
-     lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 100000 100000 100000"), 1.0),
+     lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 100000 100000 100000"), 1.0,
+     "payload is 256 bytes"),
 ]
 
 
-@pytest.mark.parametrize("edit,fill", [c[1:] for c in MALFORMED_VOL],
+@pytest.mark.parametrize("edit,fill,message", [c[1:] for c in MALFORMED_VOL],
                          ids=[c[0] for c in MALFORMED_VOL])
-def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill):
+def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message):
     g = GridGeometry((4, 4, 4))
     good = tmp_path / "good.vol"
     volio.write_volume(good, Volume.full(g, fill))
@@ -284,8 +330,25 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill):
     record = json.loads(capsys.readouterr().err.strip())
     assert code == EXIT_FORMAT
     assert record["error"] == "format-error"
+    assert message in record["message"]
     # a header is rejected before any grid is allocated (10^15 voxels here)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"U,abc", "bad j_value 'abc'"),
+    (b"U,", "bad j_value ''"),
+    (b"U,1.0\xe9", "not ASCII"),
+], ids=["non-numeric", "empty", "non-ascii"])
+def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, line, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_bytes(b"label,j_value\nU,1.0\n" + line + b"\nR,0.9\n")
+    code = main(["stats", "--samples", str(samples), "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert str(samples) in record["message"]
+    assert message in record["message"]
 
 
 def test_invariant_violation_error_record(tmp_path, capsys):
@@ -409,15 +472,14 @@ SPLIT_PATIENTS = [_patient("p1", True, True, "PR"), _patient("p2", True, False, 
 
 
 def _cohort_report(patients):
-    from defield.cohort import CohortReport, build_contingency, metrics
+    from defield.cohort import CohortReport, Tabulation, build_contingency, metrics
     from defield.stats import fisher_exact
-    tables = {limit: build_contingency([p.decisions[limit] for p in patients],
-                                       [p.recist for p in patients])
-              for limit in ("all", "3")}
-    return CohortReport(patients, tables,
-                        {k: metrics(t) for k, t in tables.items()},
-                        {k: fisher_exact(t) for k, t in tables.items()},
-                        None, [])
+    tables = {}
+    for limit in ("all", "3"):
+        table = build_contingency([p.decisions[limit] for p in patients],
+                                  [p.recist for p in patients])
+        tables[limit] = Tabulation(table, metrics(table), fisher_exact(table))
+    return CohortReport(patients, tables, None, [])
 
 
 def test_split_covering_every_patient_matches_cohort():
@@ -430,6 +492,29 @@ def test_split_covering_every_patient_matches_cohort():
         assert split[limit] == {"contingency": cohort["contingency"][limit],
                                 "metrics": cohort["metrics"][limit],
                                 "fisher": cohort["fisher"][limit]}
+
+
+# sha256 of json.dumps(..., indent=2, sort_keys=True) of the hand-built
+# report and two of its splits
+SPLIT_SHA256 = {
+    "report": "d1c2ced9544e3583392b35cf524324af44e501082f2e0330b50a14692a03e5ad",
+    "every": "3420bb84f22d339a3a738099f178535da1538ed62a428ba7d59cd471eca88db7",
+    "subset": "34357bbe6503f44467a25f8d4939c8060c41563f4c53cc1220ab8370c57700c0",
+}
+
+
+def test_report_and_split_json_bytes_are_pinned():
+    from defield.cli import _split_report
+    report = _cohort_report(SPLIT_PATIENTS)
+    payloads = {
+        "report": report.as_dict(),
+        "every": _split_report(report, {p.patient_id for p in SPLIT_PATIENTS} | {"zz"}),
+        "subset": _split_report(report, {"p2", "p3", "p6"}),
+    }
+    digests = {name: hashlib.sha256(json.dumps(payload, indent=2, sort_keys=True)
+                                    .encode()).hexdigest()
+               for name, payload in payloads.items()}
+    assert digests == SPLIT_SHA256
 
 
 def test_split_of_unknown_ids_is_null():

@@ -9,6 +9,7 @@ from defield.cohort import (
     PatientRecord,
     RecistLabel,
     RegionMeans,
+    Tabulation,
     WeekEntry,
     build_contingency,
     classify,
@@ -80,18 +81,18 @@ class TestFixture:
         assert sum(1 for r in FIXTURE if r.recist.is_pr_or_cr) == 21
 
     def test_full_course_contingency(self):
-        table = build_contingency([r.full for r in FIXTURE],
+        table = build_contingency([r.decisions["all"] for r in FIXTURE],
                                   [r.recist for r in FIXTURE])
         assert table.as_tuple() == (12, 4, 9, 13)
 
     def test_three_week_contingency(self):
-        table = build_contingency([r.three_week for r in FIXTURE],
+        table = build_contingency([r.decisions["3"] for r in FIXTURE],
                                   [r.recist for r in FIXTURE])
         assert table.as_tuple() == (11, 3, 10, 14)
 
     def test_correct_classification_counts(self):
         # 12 of the 21 PR-or-CR patients and 13 of the 17 non-PR patients
-        table = build_contingency([r.full for r in FIXTURE],
+        table = build_contingency([r.decisions["all"] for r in FIXTURE],
                                   [r.recist for r in FIXTURE])
         assert table.a == 12 and table.a + table.c == 21
         assert table.d == 13 and table.b + table.d == 17
@@ -103,18 +104,18 @@ class TestFixture:
     def test_tabulate_matches_contingency_metrics_and_fisher(self):
         from defield.stats import fisher_exact
         labels = [r.recist for r in FIXTURE]
-        for decisions in ([r.full for r in FIXTURE], [r.three_week for r in FIXTURE],
+        for decisions in ([r.decisions["all"] for r in FIXTURE], [r.decisions["3"] for r in FIXTURE],
                           [Decision.NO_DECISION] * len(FIXTURE)):
             table = build_contingency(decisions, labels)
-            assert tabulate(decisions, labels) == (table, metrics(table),
-                                                   fisher_exact(table))
+            assert tabulate(decisions, labels) == Tabulation(table, metrics(table),
+                                                             fisher_exact(table))
         with pytest.raises(ValidationError):
             tabulate([Decision.NO_DECISION] * 3, [RecistLabel.NA] * 3)
 
     def test_reproduction_flags_recall_discrepancy(self):
         rep = reproduce_from_fixture(FIXTURE)
         assert any("recall" in f and "60.0" in f for f in rep.flags)
-        assert rep.metric_table["all"].recall == pytest.approx(57.1, abs=0.1)
+        assert rep.tables["all"].metrics.recall == pytest.approx(57.1, abs=0.1)
 
 
 class TestMetrics:
@@ -205,11 +206,6 @@ class TestPatientPipeline:
         assert "degenerate" in m.note
         assert classify(m) == Decision.PR_CLASSIFIED
 
-    def test_week_limit_caching(self, identical_patient):
-        m1 = patient_region_means(identical_patient, "all", FAST)
-        m2 = patient_region_means(identical_patient, "all", FAST)
-        assert m1 is m2
-
     def test_empty_masks_give_insufficient_region(self, tmp_path):
         g = GridGeometry((16, 16, 16))
         rng = np.random.default_rng(5)
@@ -251,8 +247,8 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
     assert len(records) == 1 and records[0].recist == RecistLabel.PR
     report = run_cohort(records, FAST)
     assert report.patients[0].decisions["all"] == Decision.PR_CLASSIFIED
-    assert report.contingency["all"].as_tuple() == (1, 0, 0, 0)
-    assert report.metric_table["all"].accuracy == 100.0
+    assert report.tables["all"].contingency.as_tuple() == (1, 0, 0, 0)
+    assert report.tables["all"].metrics.accuracy == 100.0
     # degenerate note surfaces as a warning
     assert any("degenerate" in w for w in report.warnings)
 
