@@ -385,33 +385,32 @@ def run_cohort(records: list[PatientRecord],
     tables, errors = tabulate_limits(results)
     warnings += [f"contingency [{limit}]: {msg}" for limit, msg in errors.items()]
 
-    ordering = None
+    ordering = pooled = None
     try:
         pooled = pool([s for r in records for s in (r.pair_samples or [])])
         ordering = population_ordering(pooled)
     except ValidationError as exc:
         warnings.append(f"ordering: {exc}")
-    boxplot = _boxplot_rows(records)
+    boxplot = _boxplot_rows(records, pooled)
     return CohortReport(results, tables, ordering, warnings, boxplot)
 
 
-def _boxplot_rows(records: list[PatientRecord]) -> list[dict]:
+def _boxplot_rows(records: list[PatientRecord],
+                  pooled_all: RegionSamples | None) -> list[dict]:
     """Plot-ready quartiles and 98%-CI whiskers per region, pooled over the
-    whole cohort and split by actual response (PR-or-CR vs determined
-    non-PR)."""
-    def keep(record, group):
-        if group == "all":
-            return True
-        if record.recist == RecistLabel.NA:
-            return False
-        return record.recist.is_pr_or_cr == (group == "PR")
-
+    whole cohort (pooled_all, None when no patient has samples) and split
+    by actual response (PR-or-CR vs determined non-PR)."""
     rows = []
     for group in ("all", "PR", "non-PR"):
-        members = [r for r in records if keep(r, group) and r.pair_samples]
-        if not members:
+        if group == "all":
+            pooled = pooled_all
+        else:
+            members = [s for r in records if r.recist != RecistLabel.NA
+                       and r.recist.is_pr_or_cr == (group == "PR")
+                       for s in (r.pair_samples or [])]
+            pooled = pool(members) if members else None
+        if pooled is None:
             continue
-        pooled = pool([s for r in members for s in r.pair_samples])
         for region in REGIONS:
             values = pooled.samples[region]
             if values.size < 2:

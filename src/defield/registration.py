@@ -319,6 +319,7 @@ def register(source: Volume, target: Volume,
 
             state = _LevelState(v, fwd_in, bwd_in, params, pool)
             # coarse-level velocities that do not beat the identity are discarded
+            e_zero = None
             if level > 0 and _max_norm(v) > 0:
                 e_zero, _ = _lcc(*fwd_in, sigma)
                 if state.energy < e_zero:
@@ -354,8 +355,9 @@ def register(source: Volume, target: Volume,
         VectorField(geometry, state.bwd),
     )
     # contract: never worse than the identity alignment, measured as
-    # lcc_similarity would against the finest level's fixed statistics
-    sim_before, _ = _lcc(*fwd_in, sigma)
+    # lcc_similarity would against the finest level's fixed statistics; the
+    # identity energy is the finest level's e_zero when that was computed
+    sim_before = e_zero if e_zero is not None else _lcc(*fwd_in, sigma)[0]
     eps_w = VARIANCE_FLOOR * float(state.warped_src.var(dtype=np.float64))
     sim_after, _ = _lcc(state.warped_src, eps_w, fwd_in[2], eps_t, sigma)
     if sim_after < sim_before:

@@ -6,16 +6,35 @@ Fisher's two-sided p sums, over all 2x2 tables with the observed margins,
 the hypergeometric probabilities that do not exceed the observed table's
 (with a 1+1e-7 slack factor against floating-point ties). The odds ratio
 is the unconditional sample ratio a*d/(b*c).
+
+The bootstrap draws its resample indices on the calling thread, in the
+order of the single seeded generator's stream, while one helper thread
+averages the previous chunk of resamples. Resamples go out in chunks of
+max(1, CHUNK_INDICES // n); one integers(size=(k, n)) call consumes the
+stream exactly as k calls of size n do, and each mean is still taken over
+one resample's gathered values, so the intervals are bit-identical to
+drawing and averaging one resample at a time. The draws depend on each
+other through the stream and the means do not, so only the means leave
+the calling thread; both halves run in numpy kernels that release the
+GIL. At most two index chunks are alive: the one being
+averaged and the one just drawn. Each call owns its executor and joins
+its thread before it returns, as register does, so no thread outlives it
+into a later fork.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .grids import ValidationError
+
+# resample indices drawn per chunk: each chunk is about 1 MB of int64
+# indices, and small samples still get few chunks and few thread handoffs
+CHUNK_INDICES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -117,9 +136,23 @@ def bootstrap_ci(samples, b: int = 1000, level: float = 0.95, seed: int = 0) -> 
         raise ValidationError(f"resample count must be >= 100, got {b}")
     rng = np.random.default_rng(seed)
     n = arr.size
+    k = max(1, CHUNK_INDICES // n)
     means = np.empty(b, dtype=np.float64)
-    for i in range(b):
-        means[i] = arr[rng.integers(0, n, size=n)].mean()
+
+    def average(start, indices):
+        for j, row in enumerate(indices):
+            means[start + j] = arr[row].mean()
+
+    # the draws stay here, in stream order; the helper thread averages the
+    # previous chunk meanwhile (see module docstring)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for start in range(0, b, k):
+            indices = rng.integers(0, n, size=(min(k, b - start), n))
+            if pending is not None:
+                pending.result()
+            pending = pool.submit(average, start, indices)
+        pending.result()
     alpha = 1.0 - level
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return Interval(float(lo), float(hi), level)

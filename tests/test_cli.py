@@ -152,6 +152,30 @@ def test_register_jacobian_regions_stats_chain(phantom_dir, tmp_path):
     assert box[0].startswith("region,n,mean,median,q1,q3,whisker_lo98")
 
 
+# sha256 of the stats stage's artifacts on the seeded samples.csv of
+# test_stats_bytes_are_pinned
+STATS_SHA256 = {
+    "stats.json": "d6fbe3b15e735d22d0cc273ce1ea905a3e6760cfc61ae68ad1ba7b135528ef57",
+    "stats.csv": "a92b6f5cfc917ec9c07db71ae79c6848803d40a6a0ed931f0b9ad42310c6f4b1",
+    "boxplot.csv": "eac612b2a0bc9179762c704459ef8c040d1049d45ba4746847d3bdc21d1e220e",
+}
+
+
+def test_stats_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(2024)
+    sizes = {"U": 37, "R": 1, "G": 250, "N": 20_000}
+    lines = ["label,j_value"]
+    for region, size in sizes.items():
+        lines += [f"{region},{float(v)!r}" for v in rng.normal(1.0, 0.1, size)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--samples", str(samples),
+                 "--out", str(tmp_path / "stats")]) == EXIT_OK
+    for name, want in STATS_SHA256.items():
+        digest = hashlib.sha256((tmp_path / "stats" / name).read_bytes()).hexdigest()
+        assert digest == want, name
+
+
 def test_register_identical_inputs_near_zero_field(phantom_dir, tmp_path):
     p0 = phantom_dir / "p00"
     out = tmp_path / "self"

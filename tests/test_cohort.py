@@ -23,7 +23,8 @@ from defield.cohort import (
     run_cohort,
     tabulate,
 )
-from defield.defanalysis import RegionSamples
+from defield import cohort
+from defield.defanalysis import REGIONS, RegionSamples
 from defield.grids import GridGeometry, Mask, ValidationError, Volume
 from defield.registration import RegistrationParams
 from defield.stats import Contingency2x2
@@ -251,6 +252,32 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
     assert report.tables["all"].metrics.accuracy == 100.0
     # degenerate note surfaces as a warning
     assert any("degenerate" in w for w in report.warnings)
+
+
+def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):
+    # the population ordering and the "all" box-plot rows share one pool
+    rng = np.random.default_rng(6)
+
+    def record(pid, label, n_pairs):
+        weeks = [WeekEntry(k, f"week{k}.vol", f"mask{k}.vol")
+                 for k in range(n_pairs + 1)]
+        pairs = [RegionSamples({r: rng.normal(1.0, 0.05, 50) for r in REGIONS})
+                 for _ in range(n_pairs)]
+        return PatientRecord(pid, weeks, RecistLabel(label), pairs)
+
+    records = [record("p0", "PR", 3), record("p1", "PD", 2), record("p2", "NA", 3)]
+    sizes = []
+    real_pool = cohort.pool
+
+    def counted(samples):
+        sizes.append(len(samples))
+        return real_pool(samples)
+
+    monkeypatch.setattr(cohort, "pool", counted)
+    report = run_cohort(records)
+    assert sizes.count(3 + 2 + 3) == 1
+    assert report.ordering is not None
+    assert [row["group"] for row in report.boxplot].count("all") == len(REGIONS)
 
 
 def test_load_manifest_validation(tmp_path):

@@ -275,10 +275,12 @@ SMALL_PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=8)
 
 def _count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
+    lock = threading.Lock()  # the helper thread counts too
 
     def counted(name, fn):
         def wrapper(*args):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return fn(*args)
         return wrapper
 
@@ -319,6 +321,16 @@ def test_fixed_stats_once_per_level_and_direction(monkeypatch):
     _, trace = register(*_small_pair(45), SMALL_PARAMS)
     assert trace.levels() == [0, 1]
     assert counts["_fixed_stats"] == 2 * 2
+
+
+def test_identity_energy_once_at_the_finest_level(monkeypatch):
+    """Two energies per state (one per half); at the finest level, one
+    identity energy shared by the coarse-velocity check and the final
+    never-worse-than-identity check, and the final warped energy."""
+    counts = _count_calls(monkeypatch, ("_exp_array", "_lcc"))
+    _, trace = register(*_small_pair(45), SMALL_PARAMS)
+    assert trace.accepted_energies(0)  # the finest level starts from v != 0
+    assert counts["_lcc"] == counts["_exp_array"] + 1 + 1
 
 
 def test_register_leaves_no_thread_behind():

@@ -1,6 +1,8 @@
 """Oracles for summaries, confidence intervals, the pooled t-test and
 Fisher's exact test."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -83,6 +85,59 @@ class TestBootstrapCI:
         a = bootstrap_ci(samples, b=300, seed=42)
         b = bootstrap_ci(samples, b=300, seed=42)
         assert (a.lo, a.hi) == (b.lo, b.hi)
+
+    # (lo.hex(), hi.hex()) per (n, b) on seed-n normal samples, bootstrap
+    # seed 11; recorded before the draws and the means were pipelined. The
+    # cases cover a single sample, b not a multiple of the chunk size
+    # (317), one resample per chunk (2**17) and n above it.
+    GOLDEN = {
+        (1, 100): ("0x1.08d8d2104b14ap+0", "0x1.08d8d2104b14ap+0"),
+        (2, 100): ("0x1.e53c3b4bf6070p-1", "0x1.04d6faf1333c9p+0"),
+        (317, 1000): ("0x1.f6873b20612c8p-1", "0x1.00e4e091f09b9p+0"),
+        (2**17, 200): ("0x1.ffdae7de90c40p-1", "0x1.002d3a143d494p+0"),
+        (200_003, 100): ("0x1.ffc6086fc864ap-1", "0x1.00225554b88e2p+0"),
+    }
+
+    @pytest.mark.parametrize("n, b", list(GOLDEN))
+    def test_golden_intervals(self, n, b):
+        samples = np.random.default_rng(n).normal(1.0, 0.1, size=n)
+        ci = bootstrap_ci(samples, b=b, seed=11)
+        assert (ci.lo.hex(), ci.hi.hex()) == self.GOLDEN[(n, b)]
+
+    def test_leaves_no_thread_behind(self):
+        # a helper thread that outlives the call would be inherited, dead,
+        # by the children of a later fork (run_cohort's process pool)
+        before = threading.active_count()
+        bootstrap_ci(np.random.default_rng(12).normal(size=5000), b=200, seed=1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial(self):
+        """Calls from several Python threads at once (more threads than
+        cores, with a short switch interval) give the serial intervals."""
+        cases = [(np.random.default_rng(n).normal(size=n), b)
+                 for n, b in ((317, 1000), (5000, 400), (60_000, 100))]
+        serial = [bootstrap_ci(x, b=b, seed=4) for x, b in cases]
+        results = [None] * len(cases)
+
+        def run(i):
+            x, b = cases[i]
+            results[i] = bootstrap_ci(x, b=b, seed=4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert got is not None
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
 
     def test_validation(self):
         with pytest.raises(ValidationError):
