@@ -14,8 +14,17 @@ and A = G*(mbar fbar), B = G*(mbar^2), C = G*(fbar^2). The update is the
 average of the forward force and the sign-flipped backward force, fluid
 smoothing is applied to the update and diffusion smoothing to the velocity,
 and a step is accepted only if the symmetric similarity energy does not
-decrease. Otherwise the per-level step is halved, and the level ends once
-the halved step falls below MIN_STEP_FRACTION * step_scale.
+decrease. Otherwise the per-level step is halved along the same direction.
+The level ends at the second rejection in a row when the halved candidate
+scores no higher than the candidate it halved: if the energy is concave
+along the ray s -> E(exp(smooth(v + s d / max|d|))) and does not rise from
+s to s/2, it stays at or below E(s/2) on all of [0, s/2], and E(s/2) is
+already below the state's energy, so every further halving would be
+rejected too. An accepted candidate is a new state with a new direction,
+so it forgets the rejected energy. A level also ends once the halved step
+falls below MIN_STEP_FRACTION * step_scale, the backstop for a ray that is
+not concave. The trace records every candidate's energy, so it shows which
+rule ended each level.
 
 Each level state computes its symmetric energy once, and builds its
 smoothed update direction at most once from the same local statistics: a
@@ -69,9 +78,10 @@ from .grids import (
 
 # local-variance floor, as a fraction of the global intensity variance
 VARIANCE_FLOOR = 1e-6
-# a level ends once the halved step falls below this fraction of step_scale;
-# on the phantom pairs checked no step below it was ever accepted, so it
-# only drops rejected halvings
+# a level ends once the halved step falls below this fraction of step_scale:
+# the backstop behind the rule that ends a level when a halved candidate
+# scores no higher than the one it halved (see the module docstring); on
+# the phantom pairs checked no step below it was ever accepted
 MIN_STEP_FRACTION = 1.0 / 16
 
 
@@ -126,19 +136,28 @@ class SymmetricTransform:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One candidate step: energy is the state's energy after the step
+    (the candidate's if accepted), candidate_energy what the candidate
+    scored (None in traces written before it was recorded)."""
+
     level: int
     iteration: int
     energy: float
     max_update: float
     accepted: bool
+    candidate_energy: float | None = None
 
 
 @dataclass
 class ConvergenceTrace:
     entries: list[TraceEntry] = field(default_factory=list)
+    # register returned the zero transform: the registered alignment scored
+    # below the identity
+    identity_fallback: bool = False
 
     def append(self, entry: TraceEntry) -> None:
-        if not math.isfinite(entry.energy):
+        energies = (entry.energy, entry.candidate_energy)
+        if not all(math.isfinite(e) for e in energies if e is not None):
             raise ValidationError("trace energy must be finite")
         self.entries.append(entry)
 
@@ -327,6 +346,8 @@ def register(source: Volume, target: Volume,
                                         pool)
 
             step = params.step_scale
+            # the energy of the last rejected candidate on the state's direction
+            rejected = None
             for iteration in range(params.iterations_per_level):
                 d, dmax = state.direction()
                 if dmax < 1e-12:
@@ -337,13 +358,18 @@ def register(source: Volume, target: Volume,
                 accepted = cand.energy >= state.energy - 1e-12
                 trace.append(TraceEntry(level, iteration,
                                         cand.energy if accepted else state.energy,
-                                        step, accepted))
+                                        step, accepted, cand.energy))
                 if accepted:
                     rel = abs(cand.energy - state.energy) / max(abs(state.energy), 1e-12)
                     state = cand
+                    rejected = None
                     if rel < params.convergence_tol:
                         break
                 else:
+                    # a halving that did not raise the energy ends the level
+                    if rejected is not None and cand.energy <= rejected:
+                        break
+                    rejected = cand.energy
                     step *= 0.5
                     if step < MIN_STEP_FRACTION * params.step_scale:
                         break
@@ -363,17 +389,20 @@ def register(source: Volume, target: Volume,
     if sim_after < sim_before:
         zero = VectorField.zero(geometry)
         transform = SymmetricTransform(zero, zero, zero)
+        trace.identity_fallback = True
     return transform, trace
 
 
 def save_transform(dirpath, transform: SymmetricTransform,
                    params: RegistrationParams, trace: ConvergenceTrace) -> None:
-    """Three .vol field files plus a JSON sidecar of params and trace."""
+    """Three .vol field files plus a JSON sidecar of params, trace and
+    whether register fell back to the identity."""
     os.makedirs(dirpath, exist_ok=True)
     volio.write_field(os.path.join(dirpath, "velocity.vol"), transform.velocity)
     volio.write_field(os.path.join(dirpath, "forward.vol"), transform.forward)
     volio.write_field(os.path.join(dirpath, "backward.vol"), transform.backward)
-    sidecar = {"params": vars(params), "trace": trace.to_json_dict()}
+    sidecar = {"params": vars(params), "trace": trace.to_json_dict(),
+               "identity_fallback": trace.identity_fallback}
     with open(os.path.join(dirpath, "transform.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -388,5 +417,7 @@ def load_transform(dirpath) -> tuple[SymmetricTransform, RegistrationParams, Con
     with open(os.path.join(dirpath, "transform.json")) as fh:
         sidecar = json.load(fh)
     params = RegistrationParams(**sidecar["params"])
-    trace = ConvergenceTrace([TraceEntry(**e) for e in sidecar["trace"]])
+    # files written before identity_fallback was recorded load as False
+    trace = ConvergenceTrace([TraceEntry(**e) for e in sidecar["trace"]],
+                             sidecar.get("identity_fallback", False))
     return transform, params, trace

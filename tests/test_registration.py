@@ -1,5 +1,7 @@
 """Similarity measure, exponential map, composition, and registration
 properties on blob phantoms."""
+import hashlib
+import json
 import math
 import sys
 import threading
@@ -18,7 +20,14 @@ from defield.grids import (
     warp_volume,
 )
 from defield import registration
-from defield.phantom import RadialComponent, RadialMap, blob_volume, pullback_field
+from defield.phantom import (
+    PhantomSpec,
+    RadialComponent,
+    RadialMap,
+    blob_volume,
+    pullback_field,
+    synth_cohort,
+)
 from defield.registration import (
     MIN_STEP_FRACTION,
     ConvergenceTrace,
@@ -167,17 +176,69 @@ class TestCompose:
         assert np.allclose(h.data[0][4:], 3.0, atol=1e-6)
 
 
-@pytest.fixture(scope="module")
-def blob_registration():
-    """One registration of a blob against a known 1.5-voxel diffeomorphism."""
+BLOB_PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=30)
+
+
+def _blob_pair():
+    """A blob and its image under a known 1.5-voxel diffeomorphism."""
     g = GridGeometry((32, 32, 32))
     center = (15.5, 15.5, 15.5)
     source = blob_volume(g, center, 9.0, seed=13)
     gt = pullback_field(RadialMap((RadialComponent(0.4, 6.0),)), center, g)
-    target = warp_volume(source, gt)
-    params = RegistrationParams(pyramid_levels=2, iterations_per_level=30)
-    transform, trace = register(source, target, params)
-    return g, source, target, gt, params, transform, trace
+    return g, source, warp_volume(source, gt), gt
+
+
+@pytest.fixture(scope="module")
+def blob_registration():
+    """One registration of the blob pair."""
+    g, source, target, gt = _blob_pair()
+    transform, trace = register(source, target, BLOB_PARAMS)
+    return g, source, target, gt, BLOB_PARAMS, transform, trace
+
+
+@pytest.fixture(scope="module")
+def shrink_registration():
+    """Weeks 0 -> 1 of the first patient of a seed-3100 40^3 shrink cohort,
+    registered with the default (classify) params."""
+    spec = PhantomSpec(grid=GridGeometry((40, 40, 40)), mode="shrink", seed=3100)
+    weeks = synth_cohort(spec, 1)[0].weeks
+    params = RegistrationParams()
+    return (params, *register(weeks[0].volume, weeks[1].volume, params))
+
+
+def _field_digests(transform):
+    return {name: hashlib.sha256(getattr(transform, name).data.tobytes()).hexdigest()
+            for name in ("velocity", "forward", "backward")}
+
+
+# sha256 of the registered fields, recorded before a level could end on a
+# halved step that scores no higher than the step it halved: on these pairs
+# that rule drops only candidates that would have been rejected anyway
+FIELD_SHA256 = {
+    "blob": {
+        "velocity": "8a822598d014b8a3f639641dbb6c865a128366b673a7181e4ff80ac21dfd747b",
+        "forward": "46a32c3d8e2432a0dd2066329a69b467ffc9f9261e79b311d86b561b13cdc402",
+        "backward": "5a6c6c503640704899cdef6c80363801c4ebf1d8b653fc3044be3c4b7e095493",
+    },
+    "shrink": {
+        "velocity": "96548d8426032721dd180e6a4f75ab22bf790d0ce16532b0d0d4aea2542c4522",
+        "forward": "042dedeeb24beef59995e5c381882520aac1f3b4cabcf6017e670bb6c95d23b2",
+        "backward": "dfc7d1024c616c1217c804a670f1a346b0ab53da355fd51c49adf4204ce9ee7b",
+    },
+}
+# _exp_array calls of the blob registration when only the step floor ended
+# a level: its level 0 rejected steps 1/2, 1/4, 1/8 and 1/16 in a row
+BLOB_EXP_CALLS_FLOOR_ONLY = 30
+
+
+def test_blob_fields_are_pinned(blob_registration):
+    *_, transform, trace = blob_registration
+    assert _field_digests(transform) == FIELD_SHA256["blob"]
+
+
+def test_shrink_fields_are_pinned(shrink_registration):
+    _, transform, trace = shrink_registration
+    assert _field_digests(transform) == FIELD_SHA256["shrink"]
 
 
 class TestRegister:
@@ -236,8 +297,10 @@ class TestRegister:
         assert len(trace.entries) <= params.pyramid_levels * params.iterations_per_level
         assert all(math.isfinite(e.energy) for e in trace.entries)
 
-    def test_step_floor_ends_levels(self, blob_registration):
-        *_, params, transform, trace = blob_registration
+    def test_step_floor_ends_levels(self, shrink_registration):
+        # the blob pair's levels now end on the halving rule before the
+        # floor; level 0 of the shrink pair still rejects at the floor
+        params, transform, trace = shrink_registration
         floor = MIN_STEP_FRACTION * params.step_scale
         assert all(e.max_update >= floor for e in trace.entries)
         # the rule is exercised: some level ends on a rejection at the floor
@@ -399,5 +462,113 @@ def test_transform_save_load_roundtrip(tmp_path, blob_registration):
     assert np.array_equal(back.velocity.data, transform.velocity.data)
     assert np.array_equal(back.forward.data, transform.forward.data)
     assert params_back == params
-    assert len(trace_back.entries) == len(trace.entries)
-    assert trace_back.entries[0] == trace.entries[0]
+    assert trace_back.entries == trace.entries
+    assert trace_back.identity_fallback is False
+
+
+def _check_level_ends(trace, params):
+    """Every level that ends on a rejection ends at the step floor, at the
+    iteration cap, or on a halved candidate that scored no higher than the
+    candidate it halved; and no earlier pair of rejections in the level
+    met that rule."""
+    floor = MIN_STEP_FRACTION * params.step_scale
+    for level in trace.levels():
+        entries = [e for e in trace.entries if e.level == level]
+
+        def halving_rule(i):
+            prev, cur = entries[i - 1], entries[i]
+            return (i > 0 and not prev.accepted and not cur.accepted
+                    and cur.max_update == prev.max_update / 2
+                    and cur.candidate_energy <= prev.candidate_energy)
+
+        assert not any(halving_rule(i) for i in range(len(entries) - 1))
+        last = entries[-1]
+        if not last.accepted:
+            assert (last.max_update / 2 < floor
+                    or last.iteration == params.iterations_per_level - 1
+                    or halving_rule(len(entries) - 1)), level
+
+
+def test_levels_end_at_the_floor_or_on_the_halving_rule(
+        blob_registration, shrink_registration):
+    *_, params, transform, trace = blob_registration
+    _check_level_ends(trace, params)
+    params, transform, trace = shrink_registration
+    _check_level_ends(trace, params)
+    for seed in (31, 45):
+        _, trace = register(*_small_pair(seed), SMALL_PARAMS)
+        _check_level_ends(trace, SMALL_PARAMS)
+
+
+def test_candidate_energy_recorded(blob_registration):
+    *_, transform, trace = blob_registration
+    for e in trace.entries:
+        if e.accepted:
+            assert e.candidate_energy == e.energy
+        else:
+            assert e.candidate_energy < e.energy
+
+
+def test_halving_rule_ends_a_level_before_the_floor(monkeypatch):
+    """Level 0 of the blob pair used to reject halvings down to the floor;
+    it now ends at the second rejection, which scored no higher than the
+    first, with fewer exponentials and the same fields."""
+    counts = _count_calls(monkeypatch, ("_exp_array",))
+    _, source, target, _ = _blob_pair()
+    transform, trace = register(source, target, BLOB_PARAMS)
+    *_, first, second = [e for e in trace.entries if e.level == 0]
+    assert not first.accepted and not second.accepted
+    assert second.max_update == first.max_update / 2
+    assert second.max_update > MIN_STEP_FRACTION * BLOB_PARAMS.step_scale
+    assert second.candidate_energy <= first.candidate_energy
+    assert counts["_exp_array"] < BLOB_EXP_CALLS_FLOOR_ONLY
+    assert _field_digests(transform) == FIELD_SHA256["blob"]
+
+
+def test_normal_run_reports_no_identity_fallback(blob_registration):
+    *_, transform, trace = blob_registration
+    assert trace.identity_fallback is False
+    assert transform.velocity.data.any()
+
+
+def test_identity_fallback_is_reported(monkeypatch, tmp_path):
+    """When the registered alignment scores below the identity, register
+    returns the zero transform and says so in its trace and sidecar."""
+    source, target = _small_pair(47)
+    params = RegistrationParams(pyramid_levels=1, iterations_per_level=5)
+    _, want_trace = register(source, target, params)
+    lcc = registration._lcc
+
+    def identity_scores_perfect(m, *args):
+        energy, stats = lcc(m, *args)
+        # single level: the unwarped source is scored only by the final
+        # never-worse-than-identity check
+        return (1.0 if m is source.data else energy), stats
+
+    monkeypatch.setattr(registration, "_lcc", identity_scores_perfect)
+    transform, trace = register(source, target, params)
+    assert trace.identity_fallback is True
+    assert trace.entries == want_trace.entries
+    for name in ("velocity", "forward", "backward"):
+        assert not getattr(transform, name).data.any()
+    save_transform(tmp_path, transform, params, trace)
+    with open(tmp_path / "transform.json") as fh:
+        assert json.load(fh)["identity_fallback"] is True
+    assert load_transform(tmp_path)[2].identity_fallback is True
+
+
+def test_transform_json_without_new_keys_loads(tmp_path, blob_registration):
+    """A sidecar written before candidate_energy and identity_fallback
+    were recorded still loads."""
+    *_, params, transform, trace = blob_registration
+    save_transform(tmp_path, transform, params, trace)
+    path = tmp_path / "transform.json"
+    sidecar = json.loads(path.read_text())
+    del sidecar["identity_fallback"]
+    for entry in sidecar["trace"]:
+        del entry["candidate_energy"]
+    path.write_text(json.dumps(sidecar))
+    _, _, back = load_transform(tmp_path)
+    assert back.identity_fallback is False
+    assert [e.candidate_energy for e in back.entries] == [None] * len(trace.entries)
+    assert [e.energy for e in back.entries] == [e.energy for e in trace.entries]
