@@ -35,7 +35,7 @@ from .defanalysis import collect_samples, jacobian_map, partition_regions
 from .grids import DefieldError, GridGeometry, warp_mask
 from .phantom import PhantomSpec, synth_cohort
 from .registration import RegistrationParams, register, save_transform
-from .stats import bootstrap_ci, normal_ci, summarize
+from .stats import bootstrap_ci, normal_ci, record, summarize
 from .volio import VolFormatError
 
 EXIT_OK = 0
@@ -124,12 +124,6 @@ def _workers(cfg: PipelineConfig) -> int:
     if cap is not None:
         workers = min(workers, max(1, _parse(int, cap, "DEFIELD_THREADS")))
     return workers
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _outdir(args) -> str:
@@ -230,22 +224,20 @@ def cmd_stats(args) -> int:
             entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=[boot.lo, boot.hi])
             inputs = {"region": region, "n": stats.n, "sd": stats.sd,
                       "level": cfg.confidence_level}
-            records.append({"test": "normal_ci", "inputs": inputs,
-                            "statistic": stats.mean, "p": None,
-                            "interval": [ci.lo, ci.hi]})
-            records.append({"test": "bootstrap_ci",
-                            "inputs": {**inputs, "b": cfg.bootstrap_b,
-                                       "seed": cfg.bootstrap_seed},
-                            "statistic": stats.mean, "p": None,
-                            "interval": [boot.lo, boot.hi]})
+            records.append(record("normal_ci", inputs, stats.mean,
+                                  interval=[ci.lo, ci.hi]))
+            records.append(record("bootstrap_ci",
+                                  {**inputs, "b": cfg.bootstrap_b,
+                                   "seed": cfg.bootstrap_seed},
+                                  stats.mean, interval=[boot.lo, boot.hi]))
             boxplot_rows.append({"region": region, **boxplot_row(values, stats)})
         report[region] = entry
-    _write_json(os.path.join(out, "stats.json"),
-                {"confidence_level": cfg.confidence_level,
-                 "bootstrap_b": cfg.bootstrap_b,
-                 "bootstrap_seed": cfg.bootstrap_seed,
-                 "regions": report,
-                 "records": records})
+    volio.write_json(os.path.join(out, "stats.json"),
+                     {"confidence_level": cfg.confidence_level,
+                      "bootstrap_b": cfg.bootstrap_b,
+                      "bootstrap_seed": cfg.bootstrap_seed,
+                      "regions": report,
+                      "records": records})
     _write_csv(os.path.join(out, "stats.csv"),
                "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi",
                ([region, entry["n"], entry["mean"], entry["sd"],
@@ -279,7 +271,7 @@ def cmd_classify(args) -> int:
         if id_csv:
             split = _split_report(report, set(id_csv.split(",")))
             payload.setdefault("splits", {})[name] = split
-    _write_json(os.path.join(out, "report.json"), payload)
+    volio.write_json(os.path.join(out, "report.json"), payload)
     rows = []
     for p in report.patients:
         row = [p.patient_id, p.recist.value,
@@ -336,7 +328,7 @@ def cmd_reproduce_paper(args) -> int:
     rows = load_fixture(args.fixture)
     rep = reproduce_from_fixture(rows)
     out = _outdir(args)
-    _write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
+    volio.write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
     _write_tables(os.path.join(out, "tables.csv"), rep.tables)
     for limit, title in (("all", "full course"), ("3", "first three weeks")):
         tab = rep.tables[limit]

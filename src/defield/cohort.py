@@ -40,6 +40,7 @@ from .stats import (
     fisher_exact,
     normal_ci,
     pooled_t_test,
+    record,
     summarize,
 )
 
@@ -94,6 +95,8 @@ class PatientRecord:
     weeks: list[WeekEntry]
     recist: RecistLabel = RecistLabel.NA
     pair_samples: list[RegionSamples] | None = None
+    # (week, next week) of each pair registered as the identity fallback
+    identity_fallbacks: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.weeks) < 2:
@@ -127,7 +130,8 @@ def compute_pair_samples(record: PatientRecord,
 
     All analysis happens in the later week's frame: the earlier delineation
     is warped forward, and the Jacobian map of the forward field is sampled
-    on that frame. Results are cached on the record.
+    on that frame. Results are cached on the record, and so is each pair
+    whose registration fell back to the identity transform.
     """
     if record.pair_samples is not None:
         return record.pair_samples
@@ -138,16 +142,19 @@ def compute_pair_samples(record: PatientRecord,
         vol_prev, mask_prev = vol_next, mask_next
         vol_next = volio.read_volume(record.weeks[k + 1].volume_path)
         mask_next = volio.read_mask(record.weeks[k + 1].mask_path)
+        weeks = (record.weeks[k].week, record.weeks[k + 1].week)
         try:
-            transform, _ = register(vol_prev, vol_next, params)
+            transform, trace = register(vol_prev, vol_next, params)
+            if trace.identity_fallback:
+                record.identity_fallbacks.append(weeks)
             warped = warp_mask(mask_prev, transform.forward)
             part = partition_regions(warped, mask_next, week_index=k)
             samples.append(collect_samples(jacobian_map(transform.forward), part))
         except (GeometryMismatch, ValidationError) as exc:
             # same class, message as its only argument: it still pickles
             raise type(exc)(
-                f"patient {record.patient_id}, weeks {record.weeks[k].week}->"
-                f"{record.weeks[k + 1].week}: {exc}") from exc
+                f"patient {record.patient_id}, weeks {weeks[0]}->{weeks[1]}: "
+                f"{exc}") from exc
     record.pair_samples = samples
     return samples
 
@@ -321,27 +328,15 @@ class CohortReport:
     boxplot: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        records = []
-        for limit, tab in self.tables.items():
-            if tab is None:
-                continue
-            records.append({
-                "test": "fisher_exact",
-                "inputs": {"week_limit": limit,
-                           "table": tab.contingency.as_tuple()},
-                "statistic": tab.fisher[0], "p": tab.fisher[1], "interval": None,
-            })
+        records = [record("fisher_exact", {"week_limit": limit,
+                                           "table": tab.contingency.as_tuple()},
+                          *tab.fisher)
+                   for limit, tab in self.tables.items() if tab is not None]
         if self.ordering is not None:
-            for x in REGIONS:
-                for y in REGIONS:
-                    if x < y:
-                        records.append({
-                            "test": "pooled_t_test",
-                            "inputs": {"regions": [x, y]},
-                            "statistic": self.ordering.t_stats[x][y],
-                            "p": self.ordering.p_values[x][y],
-                            "interval": None,
-                        })
+            records += [record("pooled_t_test", {"regions": [x, y]},
+                               self.ordering.t_stats[x][y],
+                               self.ordering.p_values[x][y])
+                        for x in REGIONS for y in REGIONS if x < y]
         return {
             "patients": [asdict(p) for p in self.patients],
             **tables_json(self.tables),
@@ -376,6 +371,9 @@ def run_cohort(records: list[PatientRecord],
         means = {limit: patient_region_means(record, limit, params)
                  for limit in WEEK_LIMITS}
         decisions = {limit: classify(means[limit]) for limit in WEEK_LIMITS}
+        warnings += [f"patient {record.patient_id}, weeks {a}->{b}: registration "
+                     "fell back to the identity transform"
+                     for a, b in record.identity_fallbacks]
         for limit in WEEK_LIMITS:
             if means[limit].note:
                 warnings.append(f"{record.patient_id} [{limit}]: {means[limit].note}")
@@ -438,40 +436,52 @@ def _recist(path, token: str) -> RecistLabel:
         raise ValidationError(f"{path}: unknown RECIST label {token!r}") from None
 
 
+def _read_table(path, what: str, required: set[str]) -> list[dict]:
+    """Rows of a UTF-8 CSV table with a header line (a leading byte-order
+    mark is skipped) that has the required columns, at least one row, and
+    no row shorter than its header."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise ValidationError(
+                    f"{path}: {what} must have columns {sorted(required)}")
+            rows = []
+            for row in reader:
+                if None in row.values():
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: {what} row has fewer fields "
+                        "than the header")
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {what} is not UTF-8: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: {what} has no rows")
+    return rows
+
+
 def load_manifest(path) -> list[PatientRecord]:
     """Cohort manifest CSV `patient_id,week,volume_path,mask_path,recist`;
     relative paths resolve against the manifest's directory."""
     base = os.path.dirname(os.path.abspath(path))
     groups: dict[str, list[WeekEntry]] = {}
     labels: dict[str, RecistLabel] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "week", "volume_path", "mask_path", "recist"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: manifest must have columns {sorted(required)}")
-        for row in reader:
-            pid = row["patient_id"]
-            try:
-                week = int(row["week"])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: bad week {row['week']!r}") from exc
-            paths = []
-            for key in ("volume_path", "mask_path"):
-                p = row[key]
-                paths.append(p if os.path.isabs(p) else os.path.join(base, p))
-            groups.setdefault(pid, []).append(WeekEntry(week, *paths))
-            label = _recist(path, row["recist"])
-            if pid in labels and labels[pid] != label:
-                raise ValidationError(f"{path}: inconsistent RECIST for {pid}")
-            labels[pid] = label
-    if not groups:
-        raise ValidationError(f"{path}: manifest has no rows")
-    records = []
-    for pid, weeks in groups.items():
-        records.append(PatientRecord(pid, sorted(weeks, key=lambda w: w.week),
-                                     labels[pid]))
-    return records
+    for row in _read_table(path, "manifest", {"patient_id", "week", "volume_path",
+                                              "mask_path", "recist"}):
+        pid = row["patient_id"]
+        try:
+            week = int(row["week"])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad week {row['week']!r}") from exc
+        # an absolute path replaces base in the join
+        paths = [os.path.join(base, row[key]) for key in ("volume_path", "mask_path")]
+        groups.setdefault(pid, []).append(WeekEntry(week, *paths))
+        label = _recist(path, row["recist"])
+        if pid in labels and labels[pid] != label:
+            raise ValidationError(f"{path}: inconsistent RECIST for {pid}")
+        labels[pid] = label
+    return [PatientRecord(pid, sorted(weeks, key=lambda w: w.week), labels[pid])
+            for pid, weeks in groups.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +511,20 @@ def fixture_path() -> str:
 
 def load_fixture(path=None) -> list[FixtureRow]:
     path = path or fixture_path()
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "classification_full", "classification_3w",
-                    "rx_response"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+
+    def as_decision(token):
+        if token not in ("Y", "N"):
             raise ValidationError(
-                f"{path}: fixture must have columns {sorted(required)}")
-        for row in reader:
-            def as_decision(token, row=row):
-                if token not in ("Y", "N"):
-                    raise ValidationError(
-                        f"{path}: classification must be Y or N, got {token!r}")
-                return Decision.PR_CLASSIFIED if token == "Y" else Decision.NO_DECISION
-            rows.append(FixtureRow(
-                row["patient_id"],
-                {"all": as_decision(row["classification_full"]),
-                 "3": as_decision(row["classification_3w"])},
-                _recist(path, row["rx_response"]),
-            ))
-    if not rows:
-        raise ValidationError(f"{path}: fixture has no rows")
-    return rows
+                f"{path}: classification must be Y or N, got {token!r}")
+        return Decision.PR_CLASSIFIED if token == "Y" else Decision.NO_DECISION
+
+    required = {"patient_id", "classification_full", "classification_3w",
+                "rx_response"}
+    return [FixtureRow(row["patient_id"],
+                       {"all": as_decision(row["classification_full"]),
+                        "3": as_decision(row["classification_3w"])},
+                       _recist(path, row["rx_response"]))
+            for row in _read_table(path, "fixture", required)]
 
 
 @dataclass

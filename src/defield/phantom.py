@@ -30,7 +30,6 @@ from .grids import (
     VectorField,
     Volume,
     _smooth_array,
-    warp_mask,
     warp_volume,
 )
 
@@ -157,8 +156,10 @@ def radial_gaussian_field(center, amplitude: float, width: float,
     return VectorField(grid, disp), JacobianMap(grid, jac)
 
 
-def pullback_field(rm: RadialMap, center, grid: GridGeometry) -> VectorField:
-    """Displacement g with z - g(z) = inverse of the radial map.
+def pullback(rm: RadialMap, center,
+             grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
+    """Displacement g with z - g(z) = inverse of the radial map, together
+    with its analytic Jacobian 1 / J(map^{-1}(r)).
 
     This is the forward registration field for an anatomy that evolved by
     rm: warping a week-k image with it produces the week-(k+1) image.
@@ -168,14 +169,8 @@ def pullback_field(rm: RadialMap, center, grid: GridGeometry) -> VectorField:
     scale = np.ones_like(r)
     nonzero = r > 1e-12
     scale[nonzero] = 1.0 - rinv[nonzero] / r[nonzero]
-    return VectorField(grid, (offsets * scale).astype(np.float32))
-
-
-def pullback_jacobian(rm: RadialMap, center, grid: GridGeometry) -> JacobianMap:
-    """Analytic Jacobian of the pullback mapping: 1 / J(map^{-1}(r))."""
-    _, r = _radius_grid(grid, center)
-    rinv = rm.inverse(r)
-    return JacobianMap(grid, (1.0 / rm.jacobian(rinv)).astype(np.float32))
+    jac = (1.0 / rm.jacobian(rinv)).astype(np.float32)
+    return VectorField(grid, (offsets * scale).astype(np.float32)), JacobianMap(grid, jac)
 
 
 @dataclass(frozen=True)
@@ -296,11 +291,6 @@ def blob_volume(grid: GridGeometry, center, radius: float,
     return Volume(grid, img.astype(np.float32))
 
 
-def _ball_mask(grid: GridGeometry, center, radius: float) -> Mask:
-    _, r = _radius_grid(grid, center)
-    return Mask(grid, (r <= radius).astype(np.uint8))
-
-
 def _delineation_mask(grid: GridGeometry, center, radius: float,
                       rng: np.random.Generator | None) -> Mask:
     """Ball of the given radius, minus a few seeded angular notches."""
@@ -337,25 +327,24 @@ def synth_course(spec: PhantomSpec) -> SyntheticCourse:
             rng = np.random.default_rng((spec.seed, 100 + week))
             noisy = noisy + spec.noise_sd * rng.standard_normal(grid.dims).astype(np.float32)
         volumes.append(Volume(grid, noisy))
+        contour, notch_rng = radii[week], None
         if spec.mode == "shrink":
-            contour = radii[week] - _SHRINK_DELINEATION_BIAS * week
+            contour -= _SHRINK_DELINEATION_BIAS * week
             notch_rng = np.random.default_rng((spec.seed, 300 + week))
-            masks.append(_delineation_mask(grid, center, contour, notch_rng))
         elif spec.mode == "grow":
-            contour = radii[week] + _GROW_DELINEATION_MARGIN * week
-            masks.append(_ball_mask(grid, center, contour))
-        else:
-            masks.append(_ball_mask(grid, center, radii[week]))
+            contour += _GROW_DELINEATION_MARGIN * week
+        masks.append(_delineation_mask(grid, center, contour, notch_rng))
         if week == spec.weeks - 1:
             break
         rm = _week_map(spec, radii[week], bg_amp)
         if rm.components:
-            field = pullback_field(rm, center, grid)
-            jacobians.append(pullback_jacobian(rm, center, grid))
+            field, jac = pullback(rm, center, grid)
         else:
+            # bisection on the empty map is not exactly zero
             field = VectorField.zero(grid)
-            jacobians.append(JacobianMap(grid, np.ones(grid.dims, dtype=np.float32)))
+            jac = JacobianMap(grid, np.ones(grid.dims, dtype=np.float32))
         fields.append(field)
+        jacobians.append(jac)
         clean = warp_volume(clean, field)
         radii.append(float(rm.map(radii[week])))
 

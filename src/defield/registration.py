@@ -403,9 +403,7 @@ def save_transform(dirpath, transform: SymmetricTransform,
     volio.write_field(os.path.join(dirpath, "backward.vol"), transform.backward)
     sidecar = {"params": vars(params), "trace": trace.to_json_dict(),
                "identity_fallback": trace.identity_fallback}
-    with open(os.path.join(dirpath, "transform.json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    volio.write_json(os.path.join(dirpath, "transform.json"), sidecar)
 
 
 def load_transform(dirpath) -> tuple[SymmetricTransform, RegistrationParams, ConvergenceTrace]:

@@ -223,3 +223,11 @@ def fisher_exact(table: Contingency2x2) -> tuple[float, float]:
     else:
         odds = (table.a * table.d) / (table.b * table.c)
     return (odds, p)
+
+
+def record(test: str, inputs: dict, statistic: float, p: float | None = None,
+           interval: list[float] | None = None) -> dict:
+    """One entry of a report's `records` list: a test's name, its inputs,
+    statistic, p-value and interval (None where the test has none)."""
+    return {"test": test, "inputs": inputs, "statistic": statistic,
+            "p": p, "interval": interval}

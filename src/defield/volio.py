@@ -15,6 +15,8 @@ formatting), so write -> read -> write is byte-identical.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .grids import DefieldError, GridGeometry, Mask, VectorField, Volume
@@ -67,6 +69,13 @@ def write_labels(path, geometry: GridGeometry, labels: np.ndarray) -> None:
 
 def write_field(path, field: VectorField) -> None:
     _write(path, field.geometry, "float32-le", 3, field.data)
+
+
+def write_json(path, payload: dict) -> None:
+    """Canonical JSON artifact: two-space indent, sorted keys, LF end."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_header(path, raw: bytes):

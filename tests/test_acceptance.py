@@ -32,7 +32,7 @@ from defield.phantom import (
     affine_field,
     blob_volume,
     grid_center,
-    pullback_field,
+    pullback,
     radial_gaussian_field,
     synth_cohort,
     synth_course,
@@ -128,7 +128,7 @@ def test_criterion_3_registration_properties():
         center = grid_center(g)
         source = blob_volume(g, center, 18.0, seed=5)
         gt_map = RadialMap((RadialComponent(0.42, 12.0),))
-        gt = pullback_field(gt_map, center, g)
+        gt, _ = pullback(gt_map, center, g)
         assert 2.5 < gt.max_norm() <= 3.2  # known diffeomorphism of ~3 voxels
         target = warp_volume(source, gt)
 

@@ -282,6 +282,36 @@ def test_classify_constant_volume_names_patient(tmp_path, capsys, case, workers)
     assert expected in record["message"]
 
 
+@pytest.mark.parametrize("command, header, row", [
+    ("classify", "patient_id,week,volume_path,mask_path,recist", "p0"),
+    ("classify", "patient_id,week,volume_path,mask_path,recist", "p0,0,a.vol"),
+    ("reproduce-paper",
+     "patient_id,classification_full,classification_3w,rx_response", "1,Y"),
+], ids=["manifest-one-field", "manifest-three-fields", "fixture"])
+def test_short_table_row_is_invalid_input(tmp_path, capsys, command, header, row):
+    table = tmp_path / "table.csv"
+    table.write_text(f"{header}\n{row}\n")
+    flag = "--manifest" if command == "classify" else "--fixture"
+    code = main([command, flag, str(table), "--out", str(tmp_path / "out")])
+    error = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert error["error"] == "invalid-input"
+    assert error["message"].startswith(f"{table}:2: ")
+
+
+@pytest.mark.parametrize("command, flag", [("classify", "--manifest"),
+                                           ("reproduce-paper", "--fixture")])
+def test_non_utf8_table_is_invalid_input(tmp_path, capsys, command, flag):
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"patient_id,week,volume_path,mask_path,recist\n"
+                      b"p\xe90,0,a.vol,b.vol,PR\n")
+    code = main([command, flag, str(table), "--out", str(tmp_path / "out")])
+    error = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert error["message"].startswith(f"{table}: ")
+    assert "not UTF-8" in error["message"]
+
+
 def test_missing_input_error_record(tmp_path, capsys):
     code = main(["register", "--source", "nope.vol", "--target", "nope2.vol",
                  "--out", str(tmp_path)])

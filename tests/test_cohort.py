@@ -1,5 +1,7 @@
 """Classifier, contingency construction, metrics, population ordering, and
 the shipped response-table fixture."""
+import json
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,12 @@ from defield.cohort import (
 )
 from defield import cohort
 from defield.defanalysis import REGIONS, RegionSamples
-from defield.grids import GridGeometry, Mask, ValidationError, Volume
-from defield.registration import RegistrationParams
+from defield.grids import GridGeometry, Mask, ValidationError, VectorField, Volume
+from defield.registration import (
+    ConvergenceTrace,
+    RegistrationParams,
+    SymmetricTransform,
+)
 from defield.stats import Contingency2x2
 from defield import volio
 
@@ -252,6 +258,30 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
     assert report.tables["all"].metrics.accuracy == 100.0
     # degenerate note surfaces as a warning
     assert any("degenerate" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_identity_fallback_becomes_a_warning(monkeypatch, identical_patient, workers):
+    # every pair's registration returns the zero transform it fell back to;
+    # with workers > 1 the record carries the pairs back from the pool
+    def fallback_register(source, target, params):
+        zero = VectorField.zero(source.geometry)
+        return (SymmetricTransform(zero, zero, zero),
+                ConvergenceTrace(identity_fallback=True))
+
+    monkeypatch.setattr(cohort, "register", fallback_register)
+    report = run_cohort([identical_patient], FAST, workers)
+    fallbacks = [w for w in report.warnings if "fell back" in w]
+    assert fallbacks == [f"patient p-ident, weeks {a}->{b}: registration fell "
+                         "back to the identity transform" for a, b in ((0, 1), (1, 2))]
+    # the warnings are the report's only trace of the fallback: no new key
+    assert "identity_fallback" not in json.dumps(report.as_dict())
+
+
+def test_no_fallback_no_warning(identical_patient):
+    report = run_cohort([identical_patient], FAST)
+    assert identical_patient.identity_fallbacks == []
+    assert not any("fell back" in w for w in report.warnings)
 
 
 def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):

@@ -1,7 +1,10 @@
 """Analytic phantom fields and synthetic course generation."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from defield.cli import main
 from defield.defanalysis import (
     collect_samples,
     jacobian_map,
@@ -15,8 +18,7 @@ from defield.phantom import (
     RadialMap,
     affine_field,
     grid_center,
-    pullback_field,
-    pullback_jacobian,
+    pullback,
     radial_gaussian_field,
     synth_cohort,
     synth_course,
@@ -96,8 +98,7 @@ class TestRadialMap:
         # stencil truncation error scales with per-voxel curvature: 3% at
         # this compact 32^3 scale, under 2% on 64^3-proportioned fields
         rm = RadialMap((RadialComponent(-0.3, 7.0),))
-        field = pullback_field(rm, C32, G32)
-        analytic = pullback_jacobian(rm, C32, G32)
+        field, analytic = pullback(rm, C32, G32)
         jm = jacobian_map(field)
         sl = (slice(2, -2),) * 3
         assert np.abs(jm.data[sl] / analytic.data[sl] - 1.0).max() < 0.03
@@ -106,8 +107,7 @@ class TestRadialMap:
         g = GridGeometry((64, 64, 64))
         rm = RadialMap((RadialComponent(-0.3, 11.0), RadialComponent(0.04, 26.0)))
         center = grid_center(g)
-        field = pullback_field(rm, center, g)
-        analytic = pullback_jacobian(rm, center, g)
+        field, analytic = pullback(rm, center, g)
         jm = jacobian_map(field)
         sl = (slice(1, -1),) * 3
         assert np.abs(jm.data[sl] / analytic.data[sl] - 1.0).max() < 0.02
@@ -231,3 +231,44 @@ def test_course_write_creates_manifest_rows(tmp_path):
     from defield import volio
     vol = volio.read_volume(rows[0]["volume_path"])
     assert np.array_equal(vol.data, course.weeks[0].volume.data)
+
+
+# sha256 over the "<relpath> <sha256>" lines of every file that `defield
+# phantom` writes (volumes, masks, ground-truth fields and Jacobians, the
+# manifest) for each mode of test_phantom_bytes_are_pinned
+PHANTOM_SHA256 = {
+    "shrink": "45c1efe49578888be8f6b7c6ccff05df3fe32aeaa367a651ab848c65858f6f0f",
+    "grow": "a10420a00ea299e2495fe4dee63f188561ff85490cabf85b71daacfc418584b6",
+    "stable": "64442034fc96d3f4337df6a2636b101b37d5c22f84d42e33a2d0c1e9e53614fe",
+}
+
+
+def _tree_digest(root) -> str:
+    lines = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{path.relative_to(root).as_posix()} {digest}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(PHANTOM_SHA256))
+def test_phantom_bytes_are_pinned(mode, tmp_path):
+    assert main(["phantom", "--out", str(tmp_path / "out"), "--mode", mode, "--grid", "24",
+                 "--radius", "6", "--weeks", "3", "--patients", "2",
+                 "--seed", "5", "--recist", "PR"]) == 0
+    assert _tree_digest(tmp_path / "out") == PHANTOM_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode, calls", [("shrink", 3), ("grow", 3), ("stable", 0)])
+def test_one_radial_inversion_per_week(mode, calls, monkeypatch):
+    count = []
+    real_inverse = RadialMap.inverse
+
+    def counted(self, rho, tol=1e-6):
+        count.append(1)
+        return real_inverse(self, rho, tol)
+
+    monkeypatch.setattr(RadialMap, "inverse", counted)
+    synth_course(PhantomSpec(grid=GridGeometry((24, 24, 24)), radius=6.0,
+                             mode=mode, weeks=4, seed=5))
+    assert len(count) == calls

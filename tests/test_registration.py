@@ -25,7 +25,7 @@ from defield.phantom import (
     RadialComponent,
     RadialMap,
     blob_volume,
-    pullback_field,
+    pullback,
     synth_cohort,
 )
 from defield.registration import (
@@ -184,7 +184,7 @@ def _blob_pair():
     g = GridGeometry((32, 32, 32))
     center = (15.5, 15.5, 15.5)
     source = blob_volume(g, center, 9.0, seed=13)
-    gt = pullback_field(RadialMap((RadialComponent(0.4, 6.0),)), center, g)
+    gt, _ = pullback(RadialMap((RadialComponent(0.4, 6.0),)), center, g)
     return g, source, warp_volume(source, gt), gt
 
 
@@ -329,7 +329,7 @@ class TestRegister:
 def _small_pair(seed):
     center = (11.5, 11.5, 11.5)
     source = blob_volume(G24, center, 7.0, seed=seed)
-    gt = pullback_field(RadialMap((RadialComponent(0.4, 5.0),)), center, G24)
+    gt, _ = pullback(RadialMap((RadialComponent(0.4, 5.0),)), center, G24)
     return source, warp_volume(source, gt)
 
 

@@ -1,0 +1,113 @@
+"""Run a fixed `defield` CLI sequence and print a sha256 for everything it leaves.
+
+Usage:
+
+    python tools/artifact_digests.py WORKDIR [--src SRC] > digests.txt
+
+Every step runs `python -m defield.cli` with SRC (default: the `src`
+directory next to this script) on PYTHONPATH and WORKDIR as its working
+directory, with relative paths only, so two trees run into two empty
+directories print the same lines exactly when they write the same bytes:
+
+    diff <(python tools/artifact_digests.py /tmp/a --src old/src) \\
+         <(python tools/artifact_digests.py /tmp/b)
+
+The sequence: shrink (notched delineations), grow and stable phantom
+cohorts at 24^3; register -> jacobian -> regions -> stats on the first shrink
+pair; classify of both cohorts together with --workers 1, with --workers
+2, and with population/test splits; reproduce-paper; and one
+missing-input error. Each step prints digests of its exit code, stdout
+and stderr; after the steps, each file under WORKDIR gets one line.
+Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PHANTOM = ["--grid", "24", "--radius", "6", "--weeks", "4", "--patients", "2"]
+CLASSIFY_PARAMS = ["--pyramid-levels", "2", "--iterations-per-level", "8"]
+
+STEPS = [
+    ("phantom-shrink", ["phantom", "--out", "shrink", "--mode", "shrink",
+                        "--seed", "11", "--recist", "PR", *PHANTOM]),
+    ("phantom-grow", ["phantom", "--out", "grow", "--mode", "grow",
+                      "--seed", "12", "--recist", "PD", *PHANTOM]),
+    ("phantom-stable", ["phantom", "--out", "stable", "--mode", "stable",
+                        "--seed", "13", *PHANTOM]),
+    ("register", ["register", "--source", "shrink/p00/week00_vol.vol",
+                  "--target", "shrink/p00/week01_vol.vol", "--out", "reg",
+                  *CLASSIFY_PARAMS]),
+    ("jacobian", ["jacobian", "--field", "reg/forward.vol", "--out", "jac"]),
+    ("regions", ["regions", "--mask-prev", "shrink/p00/week00_mask.vol",
+                 "--mask-next", "shrink/p00/week01_mask.vol",
+                 "--field", "reg/forward.vol", "--out", "regions"]),
+    ("stats", ["stats", "--samples", "regions/samples.csv", "--out", "stats",
+               "--bootstrap-b", "200"]),
+    ("classify-w1", ["classify", "--manifest", "cohort.csv", "--out", "cls1",
+                     "--workers", "1", *CLASSIFY_PARAMS]),
+    ("classify-w2", ["classify", "--manifest", "cohort.csv", "--out", "cls2",
+                     "--workers", "2", *CLASSIFY_PARAMS]),
+    ("classify-splits", ["classify", "--manifest", "cohort.csv", "--out", "cls3",
+                         "--population-ids", "s_p00,g_p00",
+                         "--test-ids", "s_p01,g_p01", *CLASSIFY_PARAMS]),
+    ("reproduce-paper", ["reproduce-paper", "--out", "paper"]),
+    ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def merge_manifests(workdir: str) -> None:
+    """cohort.csv: the shrink and grow manifests, patient ids prefixed
+    s_/g_ and paths made relative to workdir."""
+    with open(os.path.join(workdir, "cohort.csv"), "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["patient_id", "week", "volume_path", "mask_path", "recist"])
+        for sub in ("shrink", "grow"):
+            with open(os.path.join(workdir, sub, "manifest.csv"), newline="") as fh:
+                for row in csv.DictReader(fh):
+                    writer.writerow([f"{sub[0]}_{row['patient_id']}", row["week"],
+                                     f"{sub}/{row['volume_path']}",
+                                     f"{sub}/{row['mask_path']}", row["recist"]])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workdir", help="empty or missing directory to run in")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the defield package")
+    args = parser.parse_args(argv)
+    os.makedirs(args.workdir, exist_ok=True)
+    if os.listdir(args.workdir):
+        parser.error(f"{args.workdir} is not empty")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    env.pop("DEFIELD_THREADS", None)
+    for name, cli_args in STEPS:
+        if name == "register":  # every phantom step has run
+            merge_manifests(args.workdir)
+        proc = subprocess.run([sys.executable, "-m", "defield.cli", *cli_args],
+                              cwd=args.workdir, env=env, capture_output=True)
+        print(f"{sha256(str(proc.returncode).encode())}  step/{name}/exit")
+        print(f"{sha256(proc.stdout)}  step/{name}/stdout")
+        print(f"{sha256(proc.stderr)}  step/{name}/stderr")
+    for dirpath, dirnames, filenames in os.walk(args.workdir):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            path = os.path.join(dirpath, filename)
+            with open(path, "rb") as fh:
+                digest = sha256(fh.read())
+            print(f"{digest}  file/{os.path.relpath(path, args.workdir)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
