@@ -1,18 +1,19 @@
 """Command-line pipeline: registration, Jacobian analysis, region statistics,
 cohort classification, phantom generation, and fixture reproduction.
 
-Configuration is a flat `key value` text file whose keys mirror
-PipelineConfig, which inherits its registration keys from RegistrationParams;
-every key can be overridden on the command line as --key value, and classify
-always reports both week limits. Artifacts land under --out. Errors print a
-machine-readable JSON record to stderr and exit with a code identifying
-the failure class (2 missing input, 3 malformed file, 4 invariant
-violation, 5 internal). DEFIELD_THREADS caps worker parallelism.
+register, stats and classify each read the PipelineConfig keys that
+COMMAND_KEYS names (PipelineConfig inherits its registration keys from
+RegistrationParams), from a flat `key value` --config file or as --key value
+flags; both go through one parser, and classify always reports both week
+limits. Artifacts land under --out. Errors print a machine-readable JSON
+record to stderr and exit with a code identifying the failure class
+(2 missing input, 3 malformed file, 4 invariant violation, 5 internal).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -60,6 +61,8 @@ class PipelineConfig(RegistrationParams):
         super().__post_init__()
         if self.bootstrap_b < 100:
             raise ValidationError("bootstrap_b must be >= 100")
+        if self.bootstrap_seed < 0:
+            raise ValidationError("bootstrap_seed must be >= 0")
         if not 0 < self.confidence_level < 1:
             raise ValidationError("confidence_level must be in (0, 1)")
         if self.workers < 1:
@@ -70,60 +73,61 @@ class PipelineConfig(RegistrationParams):
                                      for f in fields(RegistrationParams)})
 
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in fields(PipelineConfig)}
+_REGISTRATION_KEYS = tuple(f.name for f in fields(RegistrationParams))
+COMMAND_KEYS = {
+    "register": _REGISTRATION_KEYS,
+    "stats": ("bootstrap_b", "bootstrap_seed", "confidence_level"),
+    "classify": _REGISTRATION_KEYS + ("population_ids", "test_ids", "workers"),
+}
 
 
-def _parse(kind, text: str, where: str):
+def _parse(key: str, text, where: str):
+    kind = _FIELD_TYPES[key]
     try:
-        return kind(text)
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
     except ValueError:
-        raise ValidationError(
-            f"{where}: expected {kind.__name__}, got {text!r}") from None
+        expected = "a finite float" if kind is float else "an int"
+        raise ValidationError(f"{where}: {key}: {text!r} is not {expected}") from None
+    return value
 
 
-def load_config(path=None, overrides=None) -> PipelineConfig:
-    """Defaults, then `key value` lines from path, then CLI overrides."""
+def load_config(path=None, overrides=None, keys=tuple(_FIELD_TYPES)) -> PipelineConfig:
+    """Defaults, then `key value` lines from path, then overrides, of keys only."""
     values = {}
-    types = {f.name: _FIELD_TYPES[f.type] for f in fields(PipelineConfig)}
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition(" ")
-                if key not in types or not value.strip():
-                    raise ValidationError(
-                        f"{path}:{lineno}: bad config line {line!r}")
-                values[key] = _parse(types[key], value.strip(),
-                                     f"{path}:{lineno}: {key}")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: config is not UTF-8: {exc}") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, _, value = line.partition(" ")
+            if key not in keys or not value.strip():
+                raise ValidationError(f"{path}:{lineno}: bad config line {line!r}")
+            values[key] = _parse(key, value.strip(), f"{path}:{lineno}")
     for key, value in (overrides or {}).items():
         if value is not None:
-            values[key] = value
+            values[key] = _parse(key, value, "command line")
     return PipelineConfig(**values)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="flat key-value config file")
-    for f in fields(PipelineConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"),
-                            dest="cfg_" + f.name,
-                            type=_FIELD_TYPES[f.type], default=None,
-                            help=f"override config key {f.name}")
+    for key in COMMAND_KEYS[command]:
+        parser.add_argument("--" + key.replace("_", "-"), dest="cfg_" + key,
+                            help=f"override config key {key}")
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {f.name: getattr(args, "cfg_" + f.name)
-                 for f in fields(PipelineConfig)}
-    return load_config(args.config, overrides)
-
-
-def _workers(cfg: PipelineConfig) -> int:
-    cap = os.environ.get("DEFIELD_THREADS")
-    workers = cfg.workers
-    if cap is not None:
-        workers = min(workers, max(1, _parse(int, cap, "DEFIELD_THREADS")))
-    return workers
+    keys = COMMAND_KEYS[args.command]
+    return load_config(args.config, {k: getattr(args, "cfg_" + k) for k in keys}, keys)
 
 
 def _outdir(args) -> str:
@@ -263,7 +267,7 @@ def _split_report(report: CohortReport, ids: set[str]):
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
     records = load_manifest(args.manifest)
-    report = run_cohort(records, cfg.registration_params(), _workers(cfg))
+    report = run_cohort(records, cfg.registration_params(), cfg.workers)
     out = _outdir(args)
     payload = report.as_dict()
     for name, id_csv in (("population", cfg.population_ids),
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "register")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("jacobian", help="Jacobian-determinant map of a field")
@@ -373,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="confidence-interval report from samples CSV")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "stats")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("classify", help="run the cohort pipeline from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "classify")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("phantom", help="generate a synthetic cohort")

@@ -362,7 +362,7 @@ def run_cohort(records: list[PatientRecord],
     if not records:
         raise ValidationError("empty cohort")
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool_exec:
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(records))) as pool_exec:
             records = list(pool_exec.map(_patient_worker,
                                          [(r, params) for r in records]))
     warnings: list[str] = []
@@ -439,7 +439,7 @@ def _recist(path, token: str) -> RecistLabel:
 def _read_table(path, what: str, required: set[str]) -> list[dict]:
     """Rows of a UTF-8 CSV table with a header line (a leading byte-order
     mark is skipped) that has the required columns, at least one row, and
-    no row shorter than its header."""
+    every row as long as its header."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -448,10 +448,10 @@ def _read_table(path, what: str, required: set[str]) -> list[dict]:
                     f"{path}: {what} must have columns {sorted(required)}")
             rows = []
             for row in reader:
-                if None in row.values():
+                if None in row or None in row.values():
                     raise ValidationError(
-                        f"{path}:{reader.line_num}: {what} row has fewer fields "
-                        "than the header")
+                        f"{path}:{reader.line_num}: {what} row has "
+                        f"{'more' if None in row else 'fewer'} fields than the header")
                 rows.append(row)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: {what} is not UTF-8: {exc}") from None

@@ -3,6 +3,7 @@ and idempotent artifacts."""
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from defield import volio
 from defield.cli import (
+    COMMAND_KEYS,
     EXIT_FORMAT,
     EXIT_INVALID,
     EXIT_MISSING_INPUT,
@@ -299,6 +301,25 @@ def test_short_table_row_is_invalid_input(tmp_path, capsys, command, header, row
     assert error["message"].startswith(f"{table}:2: ")
 
 
+@pytest.mark.parametrize("command, header, rows", [
+    ("classify", "patient_id,week,volume_path,mask_path,recist",
+     "p0,0,a.vol,a_mask.vol,PR\np0,1,b.vol,b_mask.vol,PR,extra"),
+    ("reproduce-paper",
+     "patient_id,classification_full,classification_3w,rx_response",
+     "1,Y,N,PR\n2,Y,N,PR,extra"),
+], ids=["manifest", "fixture"])
+def test_long_table_row_is_invalid_input(tmp_path, capsys, command, header, rows):
+    table = tmp_path / "table.csv"
+    table.write_text(f"{header}\n{rows}\n")
+    flag = "--manifest" if command == "classify" else "--fixture"
+    code = main([command, flag, str(table), "--out", str(tmp_path / "out")])
+    error = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert error["error"] == "invalid-input"
+    assert error["message"].startswith(f"{table}:3: ")
+    assert "more fields than the header" in error["message"]
+
+
 @pytest.mark.parametrize("command, flag", [("classify", "--manifest"),
                                            ("reproduce-paper", "--fixture")])
 def test_non_utf8_table_is_invalid_input(tmp_path, capsys, command, flag):
@@ -429,17 +450,6 @@ def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys
     assert "workers" in record["message"]
 
 
-def test_non_numeric_threads_env_is_invalid_input(phantom_dir, tmp_path,
-                                                  capsys, monkeypatch):
-    monkeypatch.setenv("DEFIELD_THREADS", "abc")
-    code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
-                 "--out", str(tmp_path / "out")])
-    record = json.loads(capsys.readouterr().err.strip())
-    assert code == EXIT_INVALID
-    assert record["error"] == "invalid-input"
-    assert "DEFIELD_THREADS" in record["message"]
-
-
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "pipeline.cfg"
     cfg_file.write_text(
@@ -489,6 +499,93 @@ def test_week_limit_is_not_a_config_key(phantom_dir, tmp_path, capsys):
     assert "--week-limit" in capsys.readouterr().err
 
 
+# inputs that do not exist: a command that got past its config would exit 2
+INPUTS = {"register": ["--source", "absent.vol", "--target", "absent.vol"],
+          "stats": ["--samples", "absent.csv"],
+          "classify": ["--manifest", "absent.csv"]}
+FLOAT_KEYS = ("lcc_sigma", "fluid_sigma", "diffusion_sigma", "step_scale",
+              "convergence_tol", "confidence_level")
+BAD_VALUES = [(command, key, value) for key in FLOAT_KEYS
+              for command in COMMAND_KEYS if key in COMMAND_KEYS[command]
+              for value in ("nan", "inf", "-inf")] + [("classify", "workers", "abc")]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, key, value", BAD_VALUES)
+def test_bad_config_value_is_invalid_input(tmp_path, capsys, command, key, value,
+                                           source):
+    # flags and file lines share one parser; --key=value lets argparse take "-inf"
+    if source == "flag":
+        config = [f"--{key.replace('_', '-')}={value}"]
+    else:
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"{key} {value}\n")
+        config = ["--config", str(cfg_file)]
+    code = main([command, *INPUTS[command], *config, "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert f"{key}: {value!r} is not" in record["message"]
+
+
+def test_negative_bootstrap_seed_is_invalid_input(tmp_path, capsys):
+    code = main(["stats", *INPUTS["stats"], "--bootstrap-seed", "-1",
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert "bootstrap_seed must be >= 0" in record["message"]
+
+
+def test_non_utf8_config_is_invalid_input(tmp_path, capsys):
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_bytes(b"# r\xe9glage\nlcc_sigma 2\n")
+    code = main(["register", *INPUTS["register"], "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert record["message"].startswith(f"{cfg_file}: config is not UTF-8")
+
+
+OWN_FLAGS = {"register": {"--source", "--target", "--out"},
+             "stats": {"--samples", "--out"},
+             "classify": {"--manifest", "--out"}}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_help_lists_exactly_the_command_keys(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    keys = {"--" + key.replace("_", "-") for key in COMMAND_KEYS[command]}
+    assert listed == keys | OWN_FLAGS[command] | {"--help", "--config"}
+
+
+@pytest.mark.parametrize("command, flag, value", [("register", "--bootstrap-b", "200"),
+                                                  ("stats", "--lcc-sigma", "2")])
+def test_config_flag_the_command_does_not_read_is_rejected(tmp_path, capsys,
+                                                            command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *INPUTS[command], flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [("register", "bootstrap_b 200"),
+                                           ("stats", "lcc_sigma 2"),
+                                           ("classify", "confidence_level 0.9")])
+def test_config_line_the_command_does_not_read_is_invalid_input(tmp_path, capsys,
+                                                                command, line):
+    cfg_file = tmp_path / "pipeline.cfg"
+    cfg_file.write_text(line + "\n")
+    code = main([command, *INPUTS[command], "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["message"] == f"{cfg_file}:1: bad config line {line!r}"
+
+
 def test_config_registration_fields_match_params(phantom_dir, tmp_path):
     from dataclasses import fields
     from defield.registration import RegistrationParams
@@ -505,8 +602,7 @@ def test_config_registration_fields_match_params(phantom_dir, tmp_path):
     out = tmp_path / "reg"
     assert main(["register", "--source", str(p0 / "week00_vol.vol"),
                  "--target", str(p0 / "week00_vol.vol"), "--out", str(out),
-                 "--pyramid-levels", "1", "--iterations-per-level", "1",
-                 "--workers", "2", "--bootstrap-b", "200"]) == EXIT_OK
+                 "--pyramid-levels", "1", "--iterations-per-level", "1"]) == EXIT_OK
     params = json.loads((out / "transform.json").read_text())["params"]
     assert sorted(params) == sorted(name for name, _ in reg_fields)
     assert params["pyramid_levels"] == 1
@@ -582,11 +678,3 @@ def test_split_of_na_only_patients_reports_error():
     split = _split_report(_cohort_report(patients), {"p7", "q1"})
     error = {"error": "no patients left after excluding NA responses"}
     assert split == {"n": 2, "all": error, "3": error}
-
-
-def test_threads_env_caps_workers(monkeypatch):
-    from defield.cli import _workers
-    monkeypatch.setenv("DEFIELD_THREADS", "1")
-    assert _workers(PipelineConfig(workers=8)) == 1
-    monkeypatch.delenv("DEFIELD_THREADS")
-    assert _workers(PipelineConfig(workers=3)) == 3

@@ -14,9 +14,10 @@ directories print the same lines exactly when they write the same bytes:
 
 The sequence: shrink (notched delineations), grow and stable phantom
 cohorts at 24^3; register -> jacobian -> regions -> stats on the first shrink
-pair; classify of both cohorts together with --workers 1, with --workers
-2, and with population/test splits; reproduce-paper; and one
-missing-input error. Each step prints digests of its exit code, stdout
+pair; register and stats again with their keys from --config files
+(classify.cfg, bootstrap.cfg); classify of both cohorts together with
+--workers 1, with --workers 2, and with population/test splits;
+reproduce-paper; one missing-input error; and classify --workers abc. Each step prints digests of its exit code, stdout
 and stderr; after the steps, each file under WORKDIR gets one line.
 Standard library only.
 """
@@ -33,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PHANTOM = ["--grid", "24", "--radius", "6", "--weeks", "4", "--patients", "2"]
 CLASSIFY_PARAMS = ["--pyramid-levels", "2", "--iterations-per-level", "8"]
+CONFIGS = {"classify.cfg": "pyramid_levels 2\niterations_per_level 8\n",
+           "bootstrap.cfg": "bootstrap_b 300\nbootstrap_seed 5\nconfidence_level 0.9\n"}
 
 STEPS = [
     ("phantom-shrink", ["phantom", "--out", "shrink", "--mode", "shrink",
@@ -50,6 +53,11 @@ STEPS = [
                  "--field", "reg/forward.vol", "--out", "regions"]),
     ("stats", ["stats", "--samples", "regions/samples.csv", "--out", "stats",
                "--bootstrap-b", "200"]),
+    ("register-config", ["register", "--source", "shrink/p00/week00_vol.vol",
+                         "--target", "shrink/p00/week01_vol.vol", "--out", "reg-cfg",
+                         "--config", "classify.cfg"]),
+    ("stats-config", ["stats", "--samples", "regions/samples.csv",
+                      "--out", "stats-cfg", "--config", "bootstrap.cfg"]),
     ("classify-w1", ["classify", "--manifest", "cohort.csv", "--out", "cls1",
                      "--workers", "1", *CLASSIFY_PARAMS]),
     ("classify-w2", ["classify", "--manifest", "cohort.csv", "--out", "cls2",
@@ -59,6 +67,8 @@ STEPS = [
                          "--test-ids", "s_p01,g_p01", *CLASSIFY_PARAMS]),
     ("reproduce-paper", ["reproduce-paper", "--out", "paper"]),
     ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
+    ("workers-abc", ["classify", "--manifest", "cohort.csv", "--out", "bad",
+                     "--workers", "abc"]),
 ]
 
 
@@ -90,7 +100,10 @@ def main(argv=None) -> int:
     if os.listdir(args.workdir):
         parser.error(f"{args.workdir} is not empty")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
-    env.pop("DEFIELD_THREADS", None)
+    env.pop("DEFIELD_THREADS", None)  # older trees cap workers with it
+    for name, text in CONFIGS.items():
+        with open(os.path.join(args.workdir, name), "w") as fh:
+            fh.write(text)
     for name, cli_args in STEPS:
         if name == "register":  # every phantom step has run
             merge_manifests(args.workdir)
