@@ -4,10 +4,10 @@ cohort classification, phantom generation, and fixture reproduction.
 register, stats and classify each read the PipelineConfig keys that
 COMMAND_KEYS names (PipelineConfig inherits its registration keys from
 RegistrationParams), from a flat `key value` --config file or as --key value
-flags; both go through one parser, and classify always reports both week
-limits. Artifacts land under --out. Errors print a machine-readable JSON
-record to stderr and exit with a code identifying the failure class
-(2 missing input, 3 malformed file, 4 invariant violation, 5 internal).
+flags, through the one parser that phantom's values use too; classify always
+reports both week limits. Artifacts land under --out. Errors print a JSON
+record to stderr and exit with a code naming the failure class (2 missing
+input, 3 malformed file, 4 invariant violation, 5 internal).
 """
 from __future__ import annotations
 
@@ -23,21 +23,24 @@ from .cohort import (
     WEEK_LIMITS,
     CohortReport,
     Decision,
+    PatientRecord,
     Tabulation,
     ValidationError,
+    _recist,
     boxplot_row,
     load_fixture,
     load_manifest,
     reproduce_from_fixture,
     run_cohort,
     tabulate_limits,
+    write_manifest,
 )
 from .defanalysis import collect_samples, jacobian_map, partition_regions
 from .grids import DefieldError, GridGeometry, warp_mask
 from .phantom import PhantomSpec, synth_cohort
 from .registration import RegistrationParams, register, save_transform
 from .stats import bootstrap_ci, normal_ci, record, summarize
-from .volio import VolFormatError
+from .volio import VolFormatError, write_csv
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -73,8 +76,13 @@ class PipelineConfig(RegistrationParams):
                                      for f in fields(RegistrationParams)})
 
 
-_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
-                for f in fields(PipelineConfig)}
+_TYPES = {"int": int, "float": float, "str": str}
+_FIELD_TYPES = {f.name: _TYPES[f.type] for f in fields(PipelineConfig)}
+# phantom's value flags: the PhantomSpec scalars, whose defaults PhantomSpec
+# holds, then the cube size, the cohort size and the cohort's RECIST label
+_PHANTOM_TYPES = {**{f.name: _TYPES[f.type] for f in fields(PhantomSpec)
+                     if f.type in _TYPES},
+                  "grid": int, "patients": int, "recist": str}
 _REGISTRATION_KEYS = tuple(f.name for f in fields(RegistrationParams))
 COMMAND_KEYS = {
     "register": _REGISTRATION_KEYS,
@@ -84,7 +92,7 @@ COMMAND_KEYS = {
 
 
 def _parse(key: str, text, where: str):
-    kind = _FIELD_TYPES[key]
+    kind = _FIELD_TYPES.get(key) or _PHANTOM_TYPES[key]
     try:
         value = kind(text)
         if kind is float and not math.isfinite(value):
@@ -139,15 +147,6 @@ def _fmt(value, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """A header line, then each row's fields written with str() and joined
-    by commas; LF line ends."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
-
-
 def _write_tables(path, tables: dict[str, Tabulation | None]) -> None:
     """tables.csv: one row per week limit that has a table; undefined
     metrics are empty fields."""
@@ -160,14 +159,14 @@ def _write_tables(path, tables: dict[str, Tabulation | None]) -> None:
         rows.append([limit, *tab.contingency.as_tuple(),
                      _fmt(m.accuracy, ".1f"), _fmt(m.precision, ".1f"),
                      _fmt(m.recall, ".1f"), f"{orat:.2f}", f"{pval:.3f}"])
-    _write_csv(path, "limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p", rows)
+    write_csv(path, "limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p", rows)
 
 
 def _write_boxplot(path, rows: list[dict], keys: tuple[str, ...]) -> None:
     """boxplot.csv: the label columns in keys, then the boxplot_row fields."""
     columns = keys + ("n", "mean", "median", "q1", "q3",
                       "whisker_lo98", "whisker_hi98")
-    _write_csv(path, ",".join(columns), ([row[c] for c in columns] for row in rows))
+    write_csv(path, ",".join(columns), ([row[c] for c in columns] for row in rows))
 
 
 def cmd_register(args) -> int:
@@ -187,7 +186,7 @@ def cmd_jacobian(args) -> int:
     jmap = jacobian_map(field)
     out = os.path.join(_outdir(args), "jacobian.vol")
     defanalysis.write_jacobian(out, jmap)
-    interior = jmap.data[1:-1, 1:-1, 1:-1]
+    interior = jmap.data[defanalysis._interior(jmap.geometry.dims)]
     print(f"jacobian: min {interior.min():.4f} mean {interior.mean():.4f} "
           f"max {interior.max():.4f} -> {out}")
     return EXIT_OK
@@ -242,12 +241,12 @@ def cmd_stats(args) -> int:
                       "bootstrap_seed": cfg.bootstrap_seed,
                       "regions": report,
                       "records": records})
-    _write_csv(os.path.join(out, "stats.csv"),
-               "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi",
-               ([region, entry["n"], entry["mean"], entry["sd"],
-                 *entry["normal_ci"], *entry["bootstrap_ci"]]
-                for region, entry in report.items()
-                if entry is not None and "normal_ci" in entry))
+    write_csv(os.path.join(out, "stats.csv"),
+              "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi",
+              ([region, entry["n"], entry["mean"], entry["sd"],
+                *entry["normal_ci"], *entry["bootstrap_ci"]]
+               for region, entry in report.items()
+               if entry is not None and "normal_ci" in entry))
     _write_boxplot(os.path.join(out, "boxplot.csv"), boxplot_rows, ("region",))
     print(f"stats for {sum(1 for r in report.values() if r)} regions -> {out}")
     return EXIT_OK
@@ -285,10 +284,10 @@ def cmd_classify(args) -> int:
             row += ["" if v is None else v for v in (m.mu_R, m.mu_G, m.mu_U, m.mu_N)]
         row.append("; ".join(m.note for m in p.means.values() if m.note))
         rows.append(row)
-    _write_csv(os.path.join(out, "decisions.csv"),
-               "patient_id,recist,decision_full,decision_3w,"
-               "mu_R_full,mu_G_full,mu_U_full,mu_N_full,"
-               "mu_R_3w,mu_G_3w,mu_U_3w,mu_N_3w,note", rows)
+    write_csv(os.path.join(out, "decisions.csv"),
+              "patient_id,recist,decision_full,decision_3w,"
+              "mu_R_full,mu_G_full,mu_U_full,mu_N_full,"
+              "mu_R_3w,mu_G_3w,mu_U_3w,mu_N_3w,note", rows)
     _write_tables(os.path.join(out, "tables.csv"), report.tables)
     _write_boxplot(os.path.join(out, "boxplot.csv"), report.boxplot,
                    ("group", "region"))
@@ -303,28 +302,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    dims = (args.grid, args.grid, args.grid)
-    spec = PhantomSpec(
-        grid=GridGeometry(dims),
-        radius=args.radius,
-        mode=args.mode,
-        amplitude=args.amplitude,
-        noise_sd=args.noise_sd,
-        weeks=args.weeks,
-        seed=args.seed,
-    )
+    values = {key: _parse(key, getattr(args, key), "command line")
+              for key in _PHANTOM_TYPES if getattr(args, key) is not None}
+    size = values.pop("grid", 40)
+    n_patients = values.pop("patients", 1)
+    recist = _recist("command line: recist", values.pop("recist", "NA"))
+    spec = PhantomSpec(grid=GridGeometry((size, size, size)), **values)
+    courses = synth_cohort(spec, n_patients)
     out = _outdir(args)
-    courses = synth_cohort(spec, args.patients)
-    rows = []
-    for index, course in enumerate(courses):
-        rows.extend(course.write(out, f"p{index:02d}", recist=args.recist))
+    records = [PatientRecord(f"p{i:02d}", course.write(out, f"p{i:02d}"), recist)
+               for i, course in enumerate(courses)]
     manifest = os.path.join(out, "manifest.csv")
-    _write_csv(manifest, "patient_id,week,volume_path,mask_path,recist",
-               ([row["patient_id"], row["week"],
-                 os.path.relpath(row["volume_path"], out),
-                 os.path.relpath(row["mask_path"], out), row["recist"]]
-                for row in rows))
-    print(f"wrote {args.patients} synthetic {args.mode} patients -> {manifest}")
+    write_manifest(manifest, records)
+    print(f"wrote {n_patients} synthetic {spec.mode} patients -> {manifest}")
     return EXIT_OK
 
 
@@ -388,15 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("shrink", "grow", "stable"), default="shrink")
-    p.add_argument("--patients", type=int, default=1)
-    p.add_argument("--grid", type=int, default=40)
-    p.add_argument("--radius", type=float, default=12.0)
-    p.add_argument("--amplitude", type=float, default=1.1)
-    p.add_argument("--noise-sd", type=float, default=0.02, dest="noise_sd")
-    p.add_argument("--weeks", type=int, default=4)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--recist", default="NA")
+    for key in _PHANTOM_TYPES:
+        p.add_argument("--" + key.replace("_", "-"))
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("reproduce-paper",
@@ -419,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         _error_record("missing-input", str(exc), exc.filename)
         return EXIT_MISSING_INPUT
     except VolFormatError as exc:

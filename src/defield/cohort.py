@@ -460,14 +460,25 @@ def _read_table(path, what: str, required: set[str]) -> list[dict]:
     return rows
 
 
+MANIFEST_COLUMNS = ("patient_id", "week", "volume_path", "mask_path", "recist")
+
+
+def write_manifest(path, records: list[PatientRecord]) -> None:
+    """Manifest CSV of records, with paths relative to its directory."""
+    base = os.path.dirname(os.path.abspath(path))
+    volio.write_csv(path, ",".join(MANIFEST_COLUMNS),
+                    ([r.patient_id, w.week, os.path.relpath(w.volume_path, base),
+                      os.path.relpath(w.mask_path, base), r.recist.value]
+                     for r in records for w in r.weeks))
+
+
 def load_manifest(path) -> list[PatientRecord]:
-    """Cohort manifest CSV `patient_id,week,volume_path,mask_path,recist`;
-    relative paths resolve against the manifest's directory."""
+    """Cohort manifest CSV with MANIFEST_COLUMNS; relative paths resolve
+    against the manifest's directory."""
     base = os.path.dirname(os.path.abspath(path))
     groups: dict[str, list[WeekEntry]] = {}
     labels: dict[str, RecistLabel] = {}
-    for row in _read_table(path, "manifest", {"patient_id", "week", "volume_path",
-                                              "mask_path", "recist"}):
+    for row in _read_table(path, "manifest", set(MANIFEST_COLUMNS)):
         pid = row["patient_id"]
         try:
             week = int(row["week"])

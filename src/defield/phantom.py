@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import volio
+from .cohort import WeekEntry
 from .defanalysis import JacobianMap, write_jacobian
 from .grids import (
     GridGeometry,
@@ -200,6 +201,8 @@ class PhantomSpec:
             raise ValidationError("noise_sd must be >= 0")
         if self.weeks < 2:
             raise ValidationError("a course needs at least 2 weeks")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.center is None:
             object.__setattr__(self, "center", grid_center(self.grid))
 
@@ -237,28 +240,21 @@ class SyntheticCourse:
     gt_jacobians: list[JacobianMap]    # analytic Jacobian of each gt field
     radii: list[float]                 # anatomy tumor radius per week
 
-    def write(self, outdir, patient_id: str, recist: str = "NA") -> list[dict]:
-        """Write week volumes/masks (and ground truth) under outdir; returns
-        manifest rows patient_id,week,volume_path,mask_path,recist."""
+    def write(self, outdir, patient_id: str) -> list[WeekEntry]:
+        """Write week volumes/masks (and ground truth) under
+        outdir/patient_id; returns the week entries of the written files."""
         pdir = os.path.join(outdir, patient_id)
         os.makedirs(pdir, exist_ok=True)
-        rows = []
-        for week, wk in enumerate(self.weeks):
-            vol_path = os.path.join(pdir, f"week{week:02d}_vol.vol")
-            mask_path = os.path.join(pdir, f"week{week:02d}_mask.vol")
-            volio.write_volume(vol_path, wk.volume)
-            volio.write_mask(mask_path, wk.mask)
-            rows.append({
-                "patient_id": patient_id,
-                "week": week,
-                "volume_path": vol_path,
-                "mask_path": mask_path,
-                "recist": recist,
-            })
+        entries = [WeekEntry(week, os.path.join(pdir, f"week{week:02d}_vol.vol"),
+                             os.path.join(pdir, f"week{week:02d}_mask.vol"))
+                   for week in range(len(self.weeks))]
+        for entry, wk in zip(entries, self.weeks):
+            volio.write_volume(entry.volume_path, wk.volume)
+            volio.write_mask(entry.mask_path, wk.mask)
         for pair, (fld, jac) in enumerate(zip(self.gt_fields, self.gt_jacobians)):
             volio.write_field(os.path.join(pdir, f"gt_forward{pair:02d}.vol"), fld)
             write_jacobian(os.path.join(pdir, f"gt_jacobian{pair:02d}.vol"), jac)
-        return rows
+        return entries
 
 
 def _tumor_amplitude(spec: PhantomSpec, radius: float) -> float:

@@ -302,6 +302,11 @@ def register(source: Volume, target: Volume,
     least the initial one.
     """
     require_same_geometry(source, target)
+    largest = max(source.geometry.dims)
+    for name in ("lcc_sigma", "fluid_sigma", "diffusion_sigma"):
+        if 3.0 * getattr(params, name) > largest:  # same as ceil(3 sigma) > largest
+            raise ValidationError(f"{name} {getattr(params, name)}: ceil(3 * {name}) "
+                                  f"exceeds the largest grid dimension {largest}")
     for name, vol in (("source", source), ("target", target)):
         if float(vol.data.var(dtype=np.float64)) == 0.0:
             raise ValidationError(

@@ -78,6 +78,15 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def write_csv(path, header: str, rows) -> None:
+    """A header line, then each row's fields written with str() and joined
+    by commas; LF line ends."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def _parse_header(path, raw: bytes):
     if raw.endswith(b"\r\n", 0, raw.find(b"\n") + 1):
         raise VolFormatError(f"{path}: header has CRLF line endings, expected LF")

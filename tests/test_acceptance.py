@@ -12,8 +12,10 @@ from defield import volio
 from defield.cli import main as cli_main
 from defield.cohort import (
     Decision,
+    PatientRecord,
     load_manifest,
     run_cohort,
+    write_manifest,
 )
 from defield.defanalysis import (
     RegionSamples,
@@ -165,15 +167,10 @@ def _run_phantom_cohort(tmp_path, mode, n_patients=10, seed=101):
     courses = synth_cohort(spec, n_patients)
     outdir = tmp_path / mode
     outdir.mkdir()
-    rows = []
-    for index, course in enumerate(courses):
-        rows.extend(course.write(str(outdir), f"p{index:02d}", recist="NA"))
     manifest = outdir / "manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write("patient_id,week,volume_path,mask_path,recist\n")
-        for row in rows:
-            fh.write(f"{row['patient_id']},{row['week']},{row['volume_path']},"
-                     f"{row['mask_path']},{row['recist']}\n")
+    write_manifest(manifest, [PatientRecord(f"p{index:02d}",
+                                            course.write(str(outdir), f"p{index:02d}"))
+                              for index, course in enumerate(courses)])
     records = load_manifest(manifest)
     return run_cohort(records, COHORT_PARAMS, workers=2)
 

@@ -342,6 +342,24 @@ def test_missing_input_error_record(tmp_path, capsys):
     assert "nope.vol" in record["input"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--samples", "absent.csv", "--config", "{dir}"],
+    ["stats", "--samples", "{dir}"],
+    ["classify", "--manifest", "{dir}"],
+    ["jacobian", "--field", "{dir}"],
+    ["register", "--source", "{dir}", "--target", "{dir}"],
+    ["reproduce-paper", "--fixture", "{dir}"],
+], ids=["config", "samples", "manifest", "field", "source", "fixture"])
+def test_directory_input_is_missing_input(tmp_path, capsys, argv):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    code = main([a.format(dir=directory) for a in argv] + ["--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_MISSING_INPUT
+    assert record["error"] == "missing-input"
+    assert record["input"] == str(directory)
+
+
 def test_malformed_vol_error_record(tmp_path, capsys):
     bad = tmp_path / "bad.vol"
     bad.write_bytes(b"DIMS 2 2\nnope")
@@ -437,6 +455,47 @@ def test_invariant_violation_error_record(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert record["error"] == "invalid-input"
     assert "constant" in record["message"]
+
+
+@pytest.mark.parametrize("key, value", [("lcc_sigma", "1e300"), ("fluid_sigma", "1e9"),
+                                        ("diffusion_sigma", "4.01")])
+def test_sigma_wider_than_the_grid_is_invalid_input(tmp_path, capsys, key, value):
+    # 3 * sigma must not exceed the largest dimension of the finest grid (12)
+    g = GridGeometry((12, 10, 8))
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a.vol", "b.vol"):
+        paths.append(str(tmp_path / name))
+        volio.write_volume(paths[-1], Volume(g, rng.random(g.dims, dtype=np.float32)))
+    code = main(["register", "--source", paths[0], "--target", paths[1],
+                 f"--{key.replace('_', '-')}", value, "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["message"].startswith(f"{key} ")
+    assert not (tmp_path / "out").exists()
+    # a sigma at the bound registers
+    code = main(["register", "--source", paths[0], "--target", paths[1],
+                 f"--{key.replace('_', '-')}", "4", "--pyramid-levels", "1",
+                 "--iterations-per-level", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+
+
+PHANTOM_ARGS = {"--grid": "24", "--radius": "6", "--weeks": "2"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--radius", "nan"), ("--noise-sd", "nan"), ("--amplitude", "inf"),
+    ("--seed", "-1"), ("--grid", "abc"), ("--patients", "abc"), ("--weeks", "2.5"),
+    ("--recist", "XX"), ("--mode", "foo")])
+def test_bad_phantom_value_is_invalid_input(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    argv = [a for item in {**PHANTOM_ARGS, flag: value}.items() for a in item]
+    code = main(["phantom", "--out", str(out), *argv])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert flag[2:].replace("-", "_") in record["message"]
+    assert not out.exists()
 
 
 def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Classifier, contingency construction, metrics, population ordering, and
 the shipped response-table fixture."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from defield.cohort import (
     reproduce_from_fixture,
     run_cohort,
     tabulate,
+    write_manifest,
 )
 from defield import cohort
 from defield.defanalysis import REGIONS, RegionSamples
@@ -315,6 +317,38 @@ def test_load_manifest_validation(tmp_path):
     bad.write_text("patient_id,week\np0,0\n")
     with pytest.raises(ValidationError):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_write_manifest_round_trips_through_load_manifest(tmp_path, monkeypatch,
+                                                          absolute):
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "cohort") if absolute else "cohort"
+    os.makedirs(out)
+
+    def weeks(pid, numbers):
+        return [WeekEntry(w, os.path.join(out, pid, f"week{w:02d}_vol.vol"),
+                          os.path.join(out, pid, f"week{w:02d}_mask.vol"))
+                for w in numbers]
+
+    records = [PatientRecord("p00", weeks("p00", [0, 1, 2]), RecistLabel.PR),
+               PatientRecord("p01", weeks("p01", [0, 3]))]
+    manifest = os.path.join(out, "manifest.csv")
+    write_manifest(manifest, records)
+    with open(manifest) as fh:
+        text = fh.read()
+    assert text.splitlines()[:2] == ["patient_id,week,volume_path,mask_path,recist",
+                                     "p00,0,p00/week00_vol.vol,p00/week00_mask.vol,PR"]
+    expected = [PatientRecord(r.patient_id,
+                              [WeekEntry(w.week, os.path.abspath(w.volume_path),
+                                         os.path.abspath(w.mask_path))
+                               for w in r.weeks], r.recist)
+                for r in records]
+    loaded = load_manifest(manifest)
+    assert loaded == expected
+    write_manifest(manifest, loaded)
+    with open(manifest) as fh:
+        assert fh.read() == text
 
 
 def test_bom_manifest_and_fixture_load_the_same_rows(tmp_path):

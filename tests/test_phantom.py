@@ -225,12 +225,13 @@ def test_course_write_creates_manifest_rows(tmp_path):
     spec = PhantomSpec(grid=GridGeometry((32, 32, 32)), radius=9.0,
                        mode="shrink", weeks=2, seed=2)
     course = synth_course(spec)
-    rows = course.write(tmp_path, "p00", recist="PR")
-    assert len(rows) == 2
-    assert rows[0]["recist"] == "PR"
+    entries = course.write(tmp_path, "p00")
+    assert [e.week for e in entries] == [0, 1]
     from defield import volio
-    vol = volio.read_volume(rows[0]["volume_path"])
+    vol = volio.read_volume(entries[0].volume_path)
     assert np.array_equal(vol.data, course.weeks[0].volume.data)
+    mask = volio.read_mask(entries[1].mask_path)
+    assert np.array_equal(mask.data, course.weeks[1].mask.data)
 
 
 # sha256 over the "<relpath> <sha256>" lines of every file that `defield

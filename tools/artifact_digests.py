@@ -17,8 +17,10 @@ cohorts at 24^3; register -> jacobian -> regions -> stats on the first shrink
 pair; register and stats again with their keys from --config files
 (classify.cfg, bootstrap.cfg); classify of both cohorts together with
 --workers 1, with --workers 2, and with population/test splits;
-reproduce-paper; one missing-input error; and classify --workers abc. Each step prints digests of its exit code, stdout
-and stderr; after the steps, each file under WORKDIR gets one line.
+reproduce-paper; one missing-input error; classify --workers abc; phantom
+with --noise-sd nan and with --recist XX; and stats with a directory as
+--config. Each step prints digests of its exit code, stdout and stderr;
+after the steps, each file under WORKDIR gets one line.
 Standard library only.
 """
 from __future__ import annotations
@@ -69,6 +71,12 @@ STEPS = [
     ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
     ("workers-abc", ["classify", "--manifest", "cohort.csv", "--out", "bad",
                      "--workers", "abc"]),
+    ("phantom-noise-nan", ["phantom", "--out", "noise-nan", "--noise-sd", "nan",
+                           *PHANTOM]),
+    ("phantom-recist-xx", ["phantom", "--out", "recist-xx", "--recist", "XX",
+                           *PHANTOM]),
+    ("stats-config-dir", ["stats", "--samples", "regions/samples.csv",
+                          "--out", "stats-dir", "--config", "shrink"]),
 ]
 
 
