@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import defanalysis, volio
 from .cohort import (
@@ -143,23 +143,21 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _fmt(value, spec: str) -> str:
-    return "" if value is None else format(value, spec)
+def _display(tab: Tabulation) -> dict[str, str]:
+    """A table's accuracy, precision and recall to .1f (empty when
+    undefined), odds ratio to .2f and p to .3f, as tables.csv and
+    reproduce-paper show them."""
+    orat, pval = tab.fisher
+    return {**{name: "" if value is None else f"{value:.1f}"
+               for name, value in asdict(tab.metrics).items()},
+            "odds_ratio": f"{orat:.2f}", "p": f"{pval:.3f}"}
 
 
 def _write_tables(path, tables: dict[str, Tabulation | None]) -> None:
-    """tables.csv: one row per week limit that has a table; undefined
-    metrics are empty fields."""
-    rows = []
-    for limit, tab in tables.items():
-        if tab is None:
-            continue
-        m = tab.metrics
-        orat, pval = tab.fisher
-        rows.append([limit, *tab.contingency.as_tuple(),
-                     _fmt(m.accuracy, ".1f"), _fmt(m.precision, ".1f"),
-                     _fmt(m.recall, ".1f"), f"{orat:.2f}", f"{pval:.3f}"])
-    write_csv(path, "limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p", rows)
+    """tables.csv: one row per week limit that has a table."""
+    write_csv(path, "limit,a,b,c,d,accuracy,precision,recall,odds_ratio,p",
+              ([limit, *tab.contingency.as_tuple(), *_display(tab).values()]
+               for limit, tab in tables.items() if tab is not None))
 
 
 def _write_boxplot(path, rows: list[dict], keys: tuple[str, ...]) -> None:
@@ -319,20 +317,16 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    rows = load_fixture(args.fixture)
-    rep = reproduce_from_fixture(rows)
+    rep = reproduce_from_fixture(load_fixture(args.fixture))
     out = _outdir(args)
     volio.write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
     _write_tables(os.path.join(out, "tables.csv"), rep.tables)
     for limit, title in (("all", "full course"), ("3", "first three weeks")):
-        tab = rep.tables[limit]
-        orat, pval = tab.fisher
-        m = tab.metrics
-        print(f"{title}: contingency {tab.contingency.as_tuple()}, "
-              f"OR = {orat:.2f}, p = {pval:.3f}, "
-              f"accuracy {_fmt(m.accuracy, '.1f')}, "
-              f"precision {_fmt(m.precision, '.1f')}, "
-              f"recall {_fmt(m.recall, '.1f')}")
+        shown = _display(rep.tables[limit])
+        print(f"{title}: contingency {rep.tables[limit].contingency.as_tuple()}, "
+              f"OR = {shown['odds_ratio']}, p = {shown['p']}, "
+              f"accuracy {shown['accuracy']}, precision {shown['precision']}, "
+              f"recall {shown['recall']}")
     for flag in rep.flags:
         print("flag:", flag)
     return EXIT_OK
@@ -402,7 +396,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         _error_record("missing-input", str(exc), exc.filename)
         return EXIT_MISSING_INPUT
     except VolFormatError as exc:

@@ -56,8 +56,11 @@ class RecistLabel(str, Enum):
     NA = "NA"
 
     @property
-    def is_pr_or_cr(self) -> bool:
-        return self in (RecistLabel.PR, RecistLabel.CR)
+    def group(self) -> str | None:
+        """Response group: "PR" (PR or CR), "non-PR", or None for NA."""
+        if self is RecistLabel.NA:
+            return None
+        return "PR" if self in (RecistLabel.PR, RecistLabel.CR) else "non-PR"
 
 
 class Decision(str, Enum):
@@ -192,31 +195,18 @@ def patient_region_means(record: PatientRecord, week_limit: str = "all",
     return _means_from_samples(pool(samples[:n_pairs]), week_limit)
 
 
-def build_contingency(decisions: list[Decision],
-                      labels: list[RecistLabel]) -> Contingency2x2:
-    """Rows: hypothesis satisfied / not; columns: response PR-or-CR / other.
-
-    NA patients are excluded; errors if nothing remains.
+def build_contingency(patients, limit: str) -> Contingency2x2:
+    """Rows: hypothesis satisfied / not under the week limit; columns:
+    response group PR / non-PR, over patients (anything with `decisions`
+    and `recist`). NA patients are excluded; errors if nothing remains.
     """
-    if len(decisions) != len(labels):
-        raise ValidationError("decisions and labels must align per patient")
-    a = b = c = d = 0
-    for decision, label in zip(decisions, labels):
-        if label == RecistLabel.NA:
-            continue
-        if decision == Decision.PR_CLASSIFIED:
-            if label.is_pr_or_cr:
-                a += 1
-            else:
-                b += 1
-        else:
-            if label.is_pr_or_cr:
-                c += 1
-            else:
-                d += 1
-    if a + b + c + d == 0:
+    cells = [(p.decisions[limit] == Decision.PR_CLASSIFIED, p.recist.group)
+             for p in patients if p.recist.group is not None]
+    if not cells:
         raise ValidationError("no patients left after excluding NA responses")
-    return Contingency2x2(a, b, c, d)
+    return Contingency2x2(*(cells.count((satisfied, group))
+                            for satisfied in (True, False)
+                            for group in ("PR", "non-PR")))
 
 
 @dataclass(frozen=True)
@@ -250,9 +240,10 @@ class Tabulation:
                 "fisher": {"odds_ratio": self.fisher[0], "p": self.fisher[1]}}
 
 
-def tabulate(decisions: list[Decision], labels: list[RecistLabel]) -> Tabulation:
-    """Tabulation of one week limit's decisions against the RECIST labels."""
-    table = build_contingency(decisions, labels)
+def tabulate(patients, limit: str) -> Tabulation:
+    """Tabulation of the patients' decisions under one week limit against
+    their RECIST labels."""
+    table = build_contingency(patients, limit)
     return Tabulation(table, metrics(table), fisher_exact(table))
 
 
@@ -264,8 +255,7 @@ def tabulate_limits(patients) -> tuple[dict[str, Tabulation | None], dict[str, s
     errors: dict[str, str] = {}
     for limit in WEEK_LIMITS:
         try:
-            tables[limit] = tabulate([p.decisions[limit] for p in patients],
-                                     [p.recist for p in patients])
+            tables[limit] = tabulate(patients, limit)
         except ValidationError as exc:
             tables[limit] = None
             errors[limit] = str(exc)
@@ -397,14 +387,13 @@ def _boxplot_rows(records: list[PatientRecord],
                   pooled_all: RegionSamples | None) -> list[dict]:
     """Plot-ready quartiles and 98%-CI whiskers per region, pooled over the
     whole cohort (pooled_all, None when no patient has samples) and split
-    by actual response (PR-or-CR vs determined non-PR)."""
+    by response group (PR vs non-PR)."""
     rows = []
     for group in ("all", "PR", "non-PR"):
         if group == "all":
             pooled = pooled_all
         else:
-            members = [s for r in records if r.recist != RecistLabel.NA
-                       and r.recist.is_pr_or_cr == (group == "PR")
+            members = [s for r in records if r.recist.group == group
                        for s in (r.pair_samples or [])]
             pooled = pool(members) if members else None
         if pooled is None:
@@ -498,13 +487,6 @@ def load_manifest(path) -> list[PatientRecord]:
 # ---------------------------------------------------------------------------
 # shipped response-table fixture and its reproduction
 
-@dataclass(frozen=True)
-class FixtureRow:
-    patient_id: str
-    decisions: dict[str, Decision]
-    recist: RecistLabel
-
-
 # summary values this dataset's reference tabulation reports; the computed
 # full-course recall (57.1 = 12/21) and accuracy (65.8 = 25/38) differ from
 # the listed 60.0 and 65.7, which reproduce-paper flags rather than adopts
@@ -520,7 +502,8 @@ def fixture_path() -> str:
     return str(resources.files("defield").joinpath("data/appendix_response_table.csv"))
 
 
-def load_fixture(path=None) -> list[FixtureRow]:
+def load_fixture(path=None) -> list[PatientResult]:
+    """The fixture's patients, with their decisions and no region means."""
     path = path or fixture_path()
 
     def as_decision(token):
@@ -531,10 +514,11 @@ def load_fixture(path=None) -> list[FixtureRow]:
 
     required = {"patient_id", "classification_full", "classification_3w",
                 "rx_response"}
-    return [FixtureRow(row["patient_id"],
-                       {"all": as_decision(row["classification_full"]),
-                        "3": as_decision(row["classification_3w"])},
-                       _recist(path, row["rx_response"]))
+    # a row's classifications are checked before its response label
+    return [PatientResult(row["patient_id"], means={},
+                          decisions={"all": as_decision(row["classification_full"]),
+                                     "3": as_decision(row["classification_3w"])},
+                          recist=_recist(path, row["rx_response"]))
             for row in _read_table(path, "fixture", required)]
 
 
@@ -557,21 +541,21 @@ class FixtureReproduction:
         }
 
 
-def reproduce_from_fixture(rows: list[FixtureRow]) -> FixtureReproduction:
+def reproduce_from_fixture(patients: list[PatientResult]) -> FixtureReproduction:
     """Contingency tables, metrics and Fisher results from the shipped
     per-patient classification fixture, with discrepancies between computed
     and reference summary values flagged."""
-    labels = [r.recist for r in rows]
-    tables = {}
+    tables, errors = tabulate_limits(patients)
+    if errors:
+        raise ValidationError(next(iter(errors.values())))
     flags = []
-    for limit in WEEK_LIMITS:
-        tables[limit] = tabulate([r.decisions[limit] for r in rows], labels)
+    for limit, tab in tables.items():
         ref = REFERENCE_SUMMARY[limit]
-        for name, computed in asdict(tables[limit].metrics).items():
+        for name, computed in asdict(tab.metrics).items():
             if computed is not None and abs(computed - ref[name]) > 0.1:
                 flags.append(
                     f"{name} [{limit}]: computed {computed:.1f} differs from "
                     f"reference summary {ref[name]:.1f}")
-    n_na = sum(1 for r in rows if r.recist == RecistLabel.NA)
-    n_pr = sum(1 for r in rows if r.recist.is_pr_or_cr)
-    return FixtureReproduction(len(rows), n_na, n_pr, tables, flags)
+    groups = [p.recist.group for p in patients]
+    return FixtureReproduction(len(patients), groups.count(None),
+                               groups.count("PR"), tables, flags)

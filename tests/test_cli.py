@@ -121,6 +121,17 @@ def test_reproduce_paper_unknown_response_label_is_invalid_input(tmp_path, capsy
     assert "unknown RECIST label 'XX'" in record["message"]
 
 
+def test_reproduce_paper_of_na_only_patients_is_invalid_input(tmp_path, capsys):
+    fixture = _edited_fixture(tmp_path, rx_response="NA")
+    out = tmp_path / "rep"
+    code = main(["reproduce-paper", "--fixture", str(fixture), "--out", str(out)])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record == {"error": "invalid-input",
+                      "message": "no patients left after excluding NA responses"}
+    assert not out.exists()
+
+
 def test_register_jacobian_regions_stats_chain(phantom_dir, tmp_path):
     p0 = phantom_dir / "p00"
     reg = tmp_path / "reg"
@@ -349,15 +360,71 @@ def test_missing_input_error_record(tmp_path, capsys):
     ["jacobian", "--field", "{dir}"],
     ["register", "--source", "{dir}", "--target", "{dir}"],
     ["reproduce-paper", "--fixture", "{dir}"],
-], ids=["config", "samples", "manifest", "field", "source", "fixture"])
+    ["jacobian", "--field", "{file}/x.vol"],
+    ["stats", "--samples", "{file}/s.csv"],
+], ids=["config", "samples", "manifest", "field", "source", "fixture",
+        "field-through-file", "samples-through-file"])
 def test_directory_input_is_missing_input(tmp_path, capsys, argv):
+    # an input path that names a directory or runs through a regular file
     directory = tmp_path / "a-directory"
     directory.mkdir()
-    code = main([a.format(dir=directory) for a in argv] + ["--out", str(tmp_path / "out")])
+    afile = tmp_path / "a-file"
+    afile.write_text("")
+    argv = [a.format(dir=directory, file=afile) for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "out")])
     record = json.loads(capsys.readouterr().err.strip())
     assert code == EXIT_MISSING_INPUT
     assert record["error"] == "missing-input"
-    assert record["input"] == str(directory)
+    assert record["input"] == next(a for a in argv if a.startswith(str(tmp_path)))
+
+
+QUICK = ["--pyramid-levels", "1", "--iterations-per-level", "2"]
+
+
+@pytest.fixture(scope="module")
+def pair_dir(phantom_dir, tmp_path_factory):
+    """forward.vol and samples.csv of phantom_dir's first week pair."""
+    out = tmp_path_factory.mktemp("pair")
+    p0 = phantom_dir / "p00"
+    assert main(["register", "--source", str(p0 / "week00_vol.vol"),
+                 "--target", str(p0 / "week01_vol.vol"), "--out", str(out),
+                 *QUICK]) == EXIT_OK
+    assert main(["regions", "--mask-prev", str(p0 / "week00_mask.vol"),
+                 "--mask-next", str(p0 / "week01_mask.vol"),
+                 "--field", str(out / "forward.vol"), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+# every subcommand with inputs that let it reach the point where it writes
+OUT_ARGV = {
+    "register": ["register", "--source", "{phantom}/p00/week00_vol.vol",
+                 "--target", "{phantom}/p00/week01_vol.vol", *QUICK],
+    "jacobian": ["jacobian", "--field", "{pair}/forward.vol"],
+    "regions": ["regions", "--mask-prev", "{phantom}/p00/week00_mask.vol",
+                "--mask-next", "{phantom}/p00/week01_mask.vol",
+                "--field", "{pair}/forward.vol"],
+    "stats": ["stats", "--samples", "{pair}/samples.csv", "--bootstrap-b", "100"],
+    "classify": ["classify", "--manifest", "{phantom}/manifest.csv", *QUICK],
+    "phantom": ["phantom", "--grid", "16", "--radius", "4", "--weeks", "2"],
+    "reproduce-paper": ["reproduce-paper"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", list(OUT_ARGV))
+def test_out_through_a_file_is_missing_input(phantom_dir, pair_dir, tmp_path,
+                                             capsys, command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    argv = [a.format(phantom=phantom_dir, pair=pair_dir) for a in OUT_ARGV[command]]
+    code = main(argv + ["--out", str(out)])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_MISSING_INPUT
+    assert record["error"] == "missing-input"
+    assert record["input"] == str(out)
+    assert os.listdir(tmp_path) == ["afile"]
+    assert afile.read_text() == "kept\n"
 
 
 def test_malformed_vol_error_record(tmp_path, capsys):
@@ -685,8 +752,7 @@ def _cohort_report(patients):
     from defield.stats import fisher_exact
     tables = {}
     for limit in ("all", "3"):
-        table = build_contingency([p.decisions[limit] for p in patients],
-                                  [p.recist for p in patients])
+        table = build_contingency(patients, limit)
         tables[limit] = Tabulation(table, metrics(table), fisher_exact(table))
     return CohortReport(patients, tables, None, [])
 

@@ -10,6 +10,7 @@ from defield.cohort import (
     Decision,
     Metrics,
     PatientRecord,
+    PatientResult,
     RecistLabel,
     RegionMeans,
     Tabulation,
@@ -83,43 +84,55 @@ class TestClassify:
 FIXTURE = load_fixture()
 
 
+def undecided(patients):
+    """The patients with no decision under either week limit."""
+    no = Decision.NO_DECISION
+    return [PatientResult(p.patient_id, p.recist, {}, {"all": no, "3": no})
+            for p in patients]
+
+
+NA_ONLY = undecided([PatientResult(f"q{i}", RecistLabel.NA, {}, {}) for i in range(3)])
+
+
+def test_response_group_of_each_label():
+    assert {label.value: label.group for label in RecistLabel} == {
+        "CR": "PR", "PR": "PR", "SD": "non-PR", "PD": "non-PR", "DP": "non-PR",
+        "NA": None}
+
+
 class TestFixture:
     def test_counts(self):
         assert len(FIXTURE) == 45
         assert sum(1 for r in FIXTURE if r.recist == RecistLabel.NA) == 7
-        assert sum(1 for r in FIXTURE if r.recist.is_pr_or_cr) == 21
+        assert sum(1 for r in FIXTURE if r.recist.group == "PR") == 21
 
     def test_full_course_contingency(self):
-        table = build_contingency([r.decisions["all"] for r in FIXTURE],
-                                  [r.recist for r in FIXTURE])
+        table = build_contingency(FIXTURE, "all")
         assert table.as_tuple() == (12, 4, 9, 13)
 
     def test_three_week_contingency(self):
-        table = build_contingency([r.decisions["3"] for r in FIXTURE],
-                                  [r.recist for r in FIXTURE])
+        table = build_contingency(FIXTURE, "3")
         assert table.as_tuple() == (11, 3, 10, 14)
 
     def test_correct_classification_counts(self):
         # 12 of the 21 PR-or-CR patients and 13 of the 17 non-PR patients
-        table = build_contingency([r.decisions["all"] for r in FIXTURE],
-                                  [r.recist for r in FIXTURE])
+        table = build_contingency(FIXTURE, "all")
         assert table.a == 12 and table.a + table.c == 21
         assert table.d == 13 and table.b + table.d == 17
 
     def test_all_na_rejected(self):
         with pytest.raises(ValidationError):
-            build_contingency([Decision.NO_DECISION] * 3, [RecistLabel.NA] * 3)
+            build_contingency(NA_ONLY, "all")
 
     def test_tabulate_matches_contingency_metrics_and_fisher(self):
         from defield.stats import fisher_exact
-        labels = [r.recist for r in FIXTURE]
-        for decisions in ([r.decisions["all"] for r in FIXTURE], [r.decisions["3"] for r in FIXTURE],
-                          [Decision.NO_DECISION] * len(FIXTURE)):
-            table = build_contingency(decisions, labels)
-            assert tabulate(decisions, labels) == Tabulation(table, metrics(table),
-                                                             fisher_exact(table))
+        for patients, limit in ((FIXTURE, "all"), (FIXTURE, "3"),
+                                (undecided(FIXTURE), "all")):
+            table = build_contingency(patients, limit)
+            assert tabulate(patients, limit) == Tabulation(table, metrics(table),
+                                                           fisher_exact(table))
         with pytest.raises(ValidationError):
-            tabulate([Decision.NO_DECISION] * 3, [RecistLabel.NA] * 3)
+            tabulate(NA_ONLY, "3")
 
     def test_reproduction_flags_recall_discrepancy(self):
         rep = reproduce_from_fixture(FIXTURE)

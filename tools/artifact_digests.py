@@ -18,8 +18,11 @@ pair; register and stats again with their keys from --config files
 (classify.cfg, bootstrap.cfg); classify of both cohorts together with
 --workers 1, with --workers 2, and with population/test splits;
 reproduce-paper; one missing-input error; classify --workers abc; phantom
-with --noise-sd nan and with --recist XX; and stats with a directory as
---config. Each step prints digests of its exit code, stdout and stderr;
+with --noise-sd nan and with --recist XX; stats with a directory as
+--config; jacobian with a --field path through a regular file;
+reproduce-paper with a regular file as --out, and with a --fixture whose
+patients all have the NA response (na-only.csv, written next to the config
+files). Each step prints digests of its exit code, stdout and stderr;
 after the steps, each file under WORKDIR gets one line.
 Standard library only.
 """
@@ -36,8 +39,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PHANTOM = ["--grid", "24", "--radius", "6", "--weeks", "4", "--patients", "2"]
 CLASSIFY_PARAMS = ["--pyramid-levels", "2", "--iterations-per-level", "8"]
-CONFIGS = {"classify.cfg": "pyramid_levels 2\niterations_per_level 8\n",
-           "bootstrap.cfg": "bootstrap_b 300\nbootstrap_seed 5\nconfidence_level 0.9\n"}
+# written into WORKDIR before the first step
+INPUT_FILES = {
+    "classify.cfg": "pyramid_levels 2\niterations_per_level 8\n",
+    "bootstrap.cfg": "bootstrap_b 300\nbootstrap_seed 5\nconfidence_level 0.9\n",
+    "na-only.csv": ("patient_id,classification_full,classification_3w,rx_response\n"
+                    "q1,Y,Y,NA\nq2,N,Y,NA\nq3,N,N,NA\n"),
+}
 
 STEPS = [
     ("phantom-shrink", ["phantom", "--out", "shrink", "--mode", "shrink",
@@ -77,6 +85,11 @@ STEPS = [
                            *PHANTOM]),
     ("stats-config-dir", ["stats", "--samples", "regions/samples.csv",
                           "--out", "stats-dir", "--config", "shrink"]),
+    ("field-through-file", ["jacobian", "--field", "classify.cfg/x.vol",
+                            "--out", "jac-file"]),
+    ("out-is-file", ["reproduce-paper", "--out", "classify.cfg"]),
+    ("fixture-na-only", ["reproduce-paper", "--fixture", "na-only.csv",
+                         "--out", "paper-na"]),
 ]
 
 
@@ -109,7 +122,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.workdir} is not empty")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     env.pop("DEFIELD_THREADS", None)  # older trees cap workers with it
-    for name, text in CONFIGS.items():
+    for name, text in INPUT_FILES.items():
         with open(os.path.join(args.workdir, name), "w") as fh:
             fh.write(text)
     for name, cli_args in STEPS:
