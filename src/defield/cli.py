@@ -12,9 +12,11 @@ input, 3 malformed file, 4 invariant violation, 5 internal).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -136,6 +138,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
 def _config_from_args(args) -> PipelineConfig:
     keys = COMMAND_KEYS[args.command]
     return load_config(args.config, {k: getattr(args, "cfg_" + k) for k in keys}, keys)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work, creating nothing, when --out lies under a
+    regular file (os.stat raises) or is one (as os.makedirs would)."""
+    try:
+        if not stat.S_ISDIR(os.stat(path).st_mode):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    except FileNotFoundError:
+        pass  # _outdir creates it
 
 
 def _outdir(args) -> str:
@@ -395,6 +407,7 @@ def _error_record(code: str, message: str, input_path=None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -44,7 +45,8 @@ from .stats import (
     summarize,
 )
 
-WEEK_LIMITS = ("all", "3")
+# week limit -> most weeks a pooled pair's later week lies after the first week
+WEEK_LIMITS = {"all": math.inf, "3": 2}
 
 
 class RecistLabel(str, Enum):
@@ -72,8 +74,8 @@ class Decision(str, Enum):
 class RegionMeans:
     """Per-patient Jacobian means pooled over week pairs.
 
-    A mean is None when its region stayed empty; note records degenerate or
-    insufficient cases.
+    A mean is None when its region stayed empty or no week pair lies within
+    the limit; note records those and degenerate cases.
     """
 
     mu_R: float | None
@@ -98,8 +100,6 @@ class PatientRecord:
     weeks: list[WeekEntry]
     recist: RecistLabel = RecistLabel.NA
     pair_samples: list[RegionSamples] | None = None
-    # (week, next week) of each pair registered as the identity fallback
-    identity_fallbacks: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.weeks) < 2:
@@ -128,17 +128,18 @@ def classify(m: RegionMeans) -> Decision:
 
 def compute_pair_samples(record: PatientRecord,
                          params: RegistrationParams = RegistrationParams()
-                         ) -> list[RegionSamples]:
+                         ) -> tuple[list[RegionSamples], list[tuple[int, int]]]:
     """Register each consecutive week pair and collect region samples.
 
     All analysis happens in the later week's frame: the earlier delineation
     is warped forward, and the Jacobian map of the forward field is sampled
-    on that frame. Results are cached on the record, and so is each pair
-    whose registration fell back to the identity transform.
+    on that frame. Returns the samples of each pair and the (week, next
+    week) of each pair whose registration fell back to the identity
+    transform; a record with pair_samples set is not registered again.
     """
     if record.pair_samples is not None:
-        return record.pair_samples
-    samples = []
+        return record.pair_samples, []
+    samples, fallbacks = [], []
     vol_next = volio.read_volume(record.weeks[0].volume_path)
     mask_next = volio.read_mask(record.weeks[0].mask_path)
     for k in range(len(record.weeks) - 1):
@@ -149,7 +150,7 @@ def compute_pair_samples(record: PatientRecord,
         try:
             transform, trace = register(vol_prev, vol_next, params)
             if trace.identity_fallback:
-                record.identity_fallbacks.append(weeks)
+                fallbacks.append(weeks)
             warped = warp_mask(mask_prev, transform.forward)
             part = partition_regions(warped, mask_next, week_index=k)
             samples.append(collect_samples(jacobian_map(transform.forward), part))
@@ -158,11 +159,22 @@ def compute_pair_samples(record: PatientRecord,
             raise type(exc)(
                 f"patient {record.patient_id}, weeks {weeks[0]}->{weeks[1]}: "
                 f"{exc}") from exc
-    record.pair_samples = samples
-    return samples
+    return samples, fallbacks
 
 
-def _means_from_samples(pooled: RegionSamples, week_limit: str) -> RegionMeans:
+def region_means(samples: list[RegionSamples], weeks: list[int],
+                 week_limit: str) -> RegionMeans:
+    """Means of the region samples pooled over the week pairs within the
+    limit. samples[k] belongs to the pair weeks[k] -> weeks[k + 1]; a pair
+    is within the limit when its later week lies at most
+    WEEK_LIMITS[week_limit] weeks after weeks[0]. With no pair within the
+    limit every mean is None."""
+    within = [s for s, week in zip(samples, weeks[1:])
+              if week - weeks[0] <= WEEK_LIMITS[week_limit]]
+    if not within:
+        return RegionMeans(None, None, None, None, week_limit,
+                           note=f"no week pairs within limit {week_limit}")
+    pooled = pool(within)
     counts = pooled.counts()
     means = {r: pooled.mean(r) for r in REGIONS}
     note = ""
@@ -178,21 +190,6 @@ def _means_from_samples(pooled: RegionSamples, week_limit: str) -> RegionMeans:
         note = "insufficient region: N"
     return RegionMeans(means["R"], means["G"], means["U"], means["N"],
                        week_limit, counts, note)
-
-
-def patient_region_means(record: PatientRecord, week_limit: str = "all",
-                         params: RegistrationParams = RegistrationParams()
-                         ) -> RegionMeans:
-    """Pool per-region samples over the consecutive week pairs within the
-    limit ("all" or "3" = first three weeks) and return the means."""
-    if week_limit not in WEEK_LIMITS:
-        raise ValidationError(f"week_limit must be 'all' or '3', got {week_limit!r}")
-    samples = compute_pair_samples(record, params)
-    n_pairs = len(samples) if week_limit == "all" else min(2, len(samples))
-    if n_pairs < 1:
-        raise ValidationError(
-            f"patient {record.patient_id}: no week pairs within limit {week_limit}")
-    return _means_from_samples(pool(samples[:n_pairs]), week_limit)
 
 
 def build_contingency(patients, limit: str) -> Contingency2x2:
@@ -337,12 +334,6 @@ class CohortReport:
         }
 
 
-def _patient_worker(args):
-    record, params = args
-    compute_pair_samples(record, params)
-    return record
-
-
 def run_cohort(records: list[PatientRecord],
                params: RegistrationParams = RegistrationParams(),
                workers: int = 1) -> CohortReport:
@@ -351,55 +342,51 @@ def run_cohort(records: list[PatientRecord],
     pooled population ordering."""
     if not records:
         raise ValidationError("empty cohort")
-    if workers > 1:
+    pairs = functools.partial(compute_pair_samples, params=params)
+    if workers == 1:
+        computed = list(map(pairs, records))
+    else:
         with concurrent.futures.ProcessPoolExecutor(min(workers, len(records))) as pool_exec:
-            records = list(pool_exec.map(_patient_worker,
-                                         [(r, params) for r in records]))
+            computed = list(pool_exec.map(pairs, records))
     warnings: list[str] = []
     results = []
-    for record in records:
-        means = {limit: patient_region_means(record, limit, params)
-                 for limit in WEEK_LIMITS}
-        decisions = {limit: classify(means[limit]) for limit in WEEK_LIMITS}
+    group_samples: dict[str, list[RegionSamples]] = {"all": [], "PR": [], "non-PR": []}
+    for record, (samples, fallbacks) in zip(records, computed):
         warnings += [f"patient {record.patient_id}, weeks {a}->{b}: registration "
-                     "fell back to the identity transform"
-                     for a, b in record.identity_fallbacks]
+                     "fell back to the identity transform" for a, b in fallbacks]
+        weeks = [w.week for w in record.weeks]
+        result = PatientResult(record.patient_id, record.recist, {}, {})
         for limit in WEEK_LIMITS:
-            if means[limit].note:
-                warnings.append(f"{record.patient_id} [{limit}]: {means[limit].note}")
-        results.append(PatientResult(record.patient_id, record.recist,
-                                     means, decisions))
+            m = result.means[limit] = region_means(samples, weeks, limit)
+            result.decisions[limit] = classify(m)
+            if m.note:
+                warnings.append(f"{record.patient_id} [{limit}]: {m.note}")
+        results.append(result)
+        group_samples["all"] += samples
+        if record.recist.group is not None:
+            group_samples[record.recist.group] += samples
 
     tables, errors = tabulate_limits(results)
     warnings += [f"contingency [{limit}]: {msg}" for limit, msg in errors.items()]
 
-    ordering = pooled = None
+    pooled, ordering = {}, None
     try:
-        pooled = pool([s for r in records for s in (r.pair_samples or [])])
-        ordering = population_ordering(pooled)
+        # an empty "all" group fails to pool; the other groups are then empty
+        pooled = {group: pool(members) for group, members in group_samples.items()
+                  if members or group == "all"}
+        ordering = population_ordering(pooled["all"])
     except ValidationError as exc:
         warnings.append(f"ordering: {exc}")
-    boxplot = _boxplot_rows(records, pooled)
-    return CohortReport(results, tables, ordering, warnings, boxplot)
+    return CohortReport(results, tables, ordering, warnings, _boxplot_rows(pooled))
 
 
-def _boxplot_rows(records: list[PatientRecord],
-                  pooled_all: RegionSamples | None) -> list[dict]:
-    """Plot-ready quartiles and 98%-CI whiskers per region, pooled over the
-    whole cohort (pooled_all, None when no patient has samples) and split
-    by response group (PR vs non-PR)."""
+def _boxplot_rows(pooled: dict[str, RegionSamples]) -> list[dict]:
+    """Plot-ready quartiles and 98%-CI whiskers per region of each pooled
+    group: the whole cohort ("all") and each response group (PR, non-PR)."""
     rows = []
-    for group in ("all", "PR", "non-PR"):
-        if group == "all":
-            pooled = pooled_all
-        else:
-            members = [s for r in records if r.recist.group == group
-                       for s in (r.pair_samples or [])]
-            pooled = pool(members) if members else None
-        if pooled is None:
-            continue
+    for group, samples in pooled.items():
         for region in REGIONS:
-            values = pooled.samples[region]
+            values = samples.samples[region]
             if values.size < 2:
                 continue
             rows.append({"group": group, "region": region,

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defield import volio
+from defield import cli, cohort, volio
 from defield.cli import (
     COMMAND_KEYS,
     EXIT_FORMAT,
@@ -189,6 +189,21 @@ def test_stats_bytes_are_pinned(tmp_path):
         assert digest == want, name
 
 
+def test_stats_of_an_empty_region(tmp_path):
+    # R has no samples; a blank line is skipped
+    samples = tmp_path / "samples.csv"
+    samples.write_text("label,j_value\nU,1.0\nU,1.2\n\nG,0.9\nG,1.1\nN,1.0\nN,1.0\n")
+    out = tmp_path / "stats"
+    assert main(["stats", "--samples", str(samples), "--out", str(out),
+                 "--bootstrap-b", "100"]) == EXIT_OK
+    regions = json.loads((out / "stats.json").read_text())["regions"]
+    assert regions["R"] is None
+    assert {r: regions[r]["n"] for r in "UGN"} == {"U": 2, "G": 2, "N": 2}
+    for name in ("stats.csv", "boxplot.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["U", "G", "N"], name
+
+
 def test_register_identical_inputs_near_zero_field(phantom_dir, tmp_path):
     p0 = phantom_dir / "p00"
     out = tmp_path / "self"
@@ -217,10 +232,15 @@ def test_classify_pipeline(phantom_dir, tmp_path, capsys):
     out = tmp_path / "cls"
     code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
                  "--out", str(out), "--pyramid-levels", "2",
-                 "--iterations-per-level", "15"])
+                 "--iterations-per-level", "15",
+                 "--population-ids", "p00", "--test-ids", "p01,zz"])
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert len(report["patients"]) == 2
+    # each split tabulates its own patients under both week limits
+    assert sorted(report["splits"]) == ["population", "test"]
+    for split in report["splits"].values():
+        assert split["n"] == 1 and set(split) == {"n", "all", "3"}
     assert (out / "decisions.csv").exists()
     # shrink-mode phantom patients labeled PR: hypothesis satisfied
     assert report["contingency"]["all"][0] >= 1
@@ -344,6 +364,29 @@ def test_non_utf8_table_is_invalid_input(tmp_path, capsys, command, flag):
     assert "not UTF-8" in error["message"]
 
 
+MANIFEST_HEADER = "patient_id,week,volume_path,mask_path,recist\n"
+FIXTURE_HEADER = "patient_id,classification_full,classification_3w,rx_response\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", MANIFEST_HEADER + "p0,x,a.vol,a_mask.vol,PR\n", "bad week 'x'"),
+    ("classify", MANIFEST_HEADER + "p0,0,a.vol,a_mask.vol,PR\n"
+     "p0,1,b.vol,b_mask.vol,PD\n", "inconsistent RECIST for p0"),
+    ("classify", MANIFEST_HEADER, "manifest has no rows"),
+    ("reproduce-paper", FIXTURE_HEADER + "1,X,N,PR\n",
+     "classification must be Y or N, got 'X'"),
+], ids=["manifest-week", "manifest-recist", "manifest-header-only", "fixture-yn"])
+def test_bad_table_value_is_invalid_input(tmp_path, capsys, command, text, message):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    flag = "--manifest" if command == "classify" else "--fixture"
+    code = main([command, flag, str(table), "--out", str(tmp_path / "out")])
+    error = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert error == {"error": "invalid-input", "message": f"{table}: {message}"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_error_record(tmp_path, capsys):
     code = main(["register", "--source", "nope.vol", "--target", "nope2.vol",
                  "--out", str(tmp_path)])
@@ -413,16 +456,24 @@ OUT_ARGV = {
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command", list(OUT_ARGV))
 def test_out_through_a_file_is_missing_input(phantom_dir, pair_dir, tmp_path,
-                                             capsys, command, under):
+                                             capsys, monkeypatch, command, under):
+    # --out is checked before any work: register and classify register nothing
+    registered = []
+    for module in (cli, cohort):
+        monkeypatch.setattr(module, "register", lambda *args: registered.append(args))
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = afile / "sub" if under else afile
     argv = [a.format(phantom=phantom_dir, pair=pair_dir) for a in OUT_ARGV[command]]
     code = main(argv + ["--out", str(out)])
     record = json.loads(capsys.readouterr().err.strip())
+    assert registered == []
     assert code == EXIT_MISSING_INPUT
     assert record["error"] == "missing-input"
     assert record["input"] == str(out)
+    expected = (f"[Errno 20] Not a directory: {str(out)!r}" if under
+                else f"[Errno 17] File exists: {str(out)!r}")
+    assert record["message"] == expected
     assert os.listdir(tmp_path) == ["afile"]
     assert afile.read_text() == "kept\n"
 
@@ -469,6 +520,13 @@ MALFORMED_VOL = [
     ("huge-dims",
      lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 100000 100000 100000"), 1.0,
      "payload is 256 bytes"),
+    ("line-without-value", lambda raw: raw.replace(b"DTYPE", b"NOTE\nDTYPE", 1), 1.0,
+     "malformed header line 'NOTE'"),
+    ("components-not-int",
+     lambda raw: raw.replace(b"DTYPE", b"COMPONENTS x\nDTYPE", 1), 1.0,
+     "bad COMPONENTS"),
+    ("components-2", lambda raw: raw.replace(b"DTYPE", b"COMPONENTS 2\nDTYPE", 1), 1.0,
+     "only COMPONENTS 3 supported"),
 ]
 
 
@@ -495,14 +553,17 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("line, message", [
-    (b"U,abc", "bad j_value 'abc'"),
-    (b"U,", "bad j_value ''"),
-    (b"U,1.0\xe9", "not ASCII"),
-], ids=["non-numeric", "empty", "non-ascii"])
-def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, line, message):
+@pytest.mark.parametrize("header, line, message", [
+    (b"label,j_value", b"U,abc", "bad j_value 'abc'"),
+    (b"label,j_value", b"U,", "bad j_value ''"),
+    (b"label,j_value", b"U,1.0\xe9", "not ASCII"),
+    (b"region,j_value", b"U,1.0", "unexpected samples header 'region,j_value'"),
+    (b"label,j_value", b"X,1.0", "unknown region label 'X'"),
+], ids=["non-numeric", "empty", "non-ascii", "header", "unknown-label"])
+def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, header, line,
+                                                message):
     samples = tmp_path / "samples.csv"
-    samples.write_bytes(b"label,j_value\nU,1.0\n" + line + b"\nR,0.9\n")
+    samples.write_bytes(header + b"\nU,1.0\n" + line + b"\nR,0.9\n")
     code = main(["stats", "--samples", str(samples), "--out", str(tmp_path / "out")])
     record = json.loads(capsys.readouterr().err.strip())
     assert code == EXIT_INVALID

@@ -17,12 +17,13 @@ from defield.cohort import (
     WeekEntry,
     build_contingency,
     classify,
+    compute_pair_samples,
     fixture_path,
     load_fixture,
     load_manifest,
     metrics,
-    patient_region_means,
     population_ordering,
+    region_means,
     reproduce_from_fixture,
     run_cohort,
     tabulate,
@@ -222,7 +223,8 @@ FAST = RegistrationParams(pyramid_levels=1, iterations_per_level=5)
 
 class TestPatientPipeline:
     def test_identical_weeks_are_degenerate_boundary_pr(self, identical_patient):
-        m = patient_region_means(identical_patient, "all", FAST)
+        samples, _ = compute_pair_samples(identical_patient, FAST)
+        m = region_means(samples, [0, 1, 2], "all")
         assert m.mu_R == 1.0 and m.mu_G == 1.0
         assert m.mu_U == pytest.approx(1.0, abs=1e-4)
         assert "degenerate" in m.note
@@ -237,7 +239,7 @@ class TestPatientPipeline:
             mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
             weeks.append(write_week(tmp_path, f"week{k}", vol, mask))
         record = PatientRecord("p-empty", weeks, RecistLabel.NA)
-        m = patient_region_means(record, "all", FAST)
+        m = region_means(compute_pair_samples(record, FAST)[0], [0, 1], "all")
         assert "insufficient region" in m.note
         assert classify(m) == Decision.NO_DECISION
 
@@ -278,7 +280,7 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_identity_fallback_becomes_a_warning(monkeypatch, identical_patient, workers):
     # every pair's registration returns the zero transform it fell back to;
-    # with workers > 1 the record carries the pairs back from the pool
+    # with workers > 1 the pool sends the pairs back with the samples
     def fallback_register(source, target, params):
         zero = VectorField.zero(source.geometry)
         return (SymmetricTransform(zero, zero, zero),
@@ -295,8 +297,10 @@ def test_identity_fallback_becomes_a_warning(monkeypatch, identical_patient, wor
 
 def test_no_fallback_no_warning(identical_patient):
     report = run_cohort([identical_patient], FAST)
-    assert identical_patient.identity_fallbacks == []
     assert not any("fell back" in w for w in report.warnings)
+    assert compute_pair_samples(identical_patient, FAST)[1] == []
+    # results are return values: the record is not written to
+    assert identical_patient.pair_samples is None
 
 
 def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):
@@ -323,6 +327,35 @@ def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):
     assert sizes.count(3 + 2 + 3) == 1
     assert report.ordering is not None
     assert [row["group"] for row in report.boxplot].count("all") == len(REGIONS)
+
+
+def test_week_limit_pools_pairs_by_week_number():
+    # "3" pools the pairs whose later week is at most 2 weeks after the
+    # first week, whatever their position in the course
+    def pair(**values):
+        return RegionSamples({r: np.array(values.get(r, [0.75, 1.25]))
+                              for r in REGIONS})
+
+    weeks = [WeekEntry(k, f"week{k}.vol", f"mask{k}.vol") for k in (0, 2, 5)]
+    gapped = PatientRecord("gapped", weeks, RecistLabel.PR,
+                           [pair(), pair(**{r: [2.75, 3.25] for r in REGIONS})])
+    late = PatientRecord("late", [weeks[0], weeks[2]], RecistLabel.PD,
+                         [pair(R=[0.75, 0.95], U=[1.0, 1.5])])
+    report = run_cohort([gapped, late])
+    means = {p.patient_id: p.means for p in report.patients}
+    decisions = {p.patient_id: p.decisions for p in report.patients}
+    # the 2->5 pair lies outside the first three weeks
+    assert means["gapped"]["3"].mu_R == means["gapped"]["3"].mu_U == 1.0
+    assert means["gapped"]["all"].mu_R == 2.0
+    assert decisions["gapped"] == {"all": Decision.NO_DECISION,
+                                   "3": Decision.PR_CLASSIFIED}
+    # the only pair, 0->5, lies outside it too
+    m = means["late"]["3"]
+    assert (m.mu_R, m.mu_G, m.mu_U, m.mu_N) == (None, None, None, None)
+    assert m.note == "no week pairs within limit 3"
+    assert decisions["late"] == {"all": Decision.PR_CLASSIFIED,
+                                 "3": Decision.NO_DECISION}
+    assert "late [3]: no week pairs within limit 3" in report.warnings
 
 
 def test_load_manifest_validation(tmp_path):

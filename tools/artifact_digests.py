@@ -16,14 +16,16 @@ The sequence: shrink (notched delineations), grow and stable phantom
 cohorts at 24^3; register -> jacobian -> regions -> stats on the first shrink
 pair; register and stats again with their keys from --config files
 (classify.cfg, bootstrap.cfg); classify of both cohorts together with
---workers 1, with --workers 2, and with population/test splits;
-reproduce-paper; one missing-input error; classify --workers abc; phantom
-with --noise-sd nan and with --recist XX; stats with a directory as
---config; jacobian with a --field path through a regular file;
-reproduce-paper with a regular file as --out, and with a --fixture whose
-patients all have the NA response (na-only.csv, written next to the config
-files). Each step prints digests of its exit code, stdout and stderr;
-after the steps, each file under WORKDIR gets one line.
+--workers 1, with --workers 2, and with population/test splits; classify
+of the first shrink patient's weeks 0, 2 and 3 (gapped.csv), whose pair
+2->3 lies outside the first three weeks; reproduce-paper; one
+missing-input error; classify --workers abc; phantom with --noise-sd nan
+and with --recist XX; stats with a directory as --config; jacobian with a
+--field path through a regular file; reproduce-paper and classify with a
+regular file as --out, and reproduce-paper with a --fixture whose patients
+all have the NA response (na-only.csv, written next to the config files).
+Each step prints digests of its exit code, stdout and stderr; after the
+steps, each file under WORKDIR gets one line.
 Standard library only.
 """
 from __future__ import annotations
@@ -45,6 +47,10 @@ INPUT_FILES = {
     "bootstrap.cfg": "bootstrap_b 300\nbootstrap_seed 5\nconfidence_level 0.9\n",
     "na-only.csv": ("patient_id,classification_full,classification_3w,rx_response\n"
                     "q1,Y,Y,NA\nq2,N,Y,NA\nq3,N,N,NA\n"),
+    "gapped.csv": ("patient_id,week,volume_path,mask_path,recist\n"
+                   + "".join(f"p00,{w},shrink/p00/week{w:02d}_vol.vol,"
+                             f"shrink/p00/week{w:02d}_mask.vol,PR\n"
+                             for w in (0, 2, 3))),
 }
 
 STEPS = [
@@ -75,6 +81,8 @@ STEPS = [
     ("classify-splits", ["classify", "--manifest", "cohort.csv", "--out", "cls3",
                          "--population-ids", "s_p00,g_p00",
                          "--test-ids", "s_p01,g_p01", *CLASSIFY_PARAMS]),
+    ("classify-gapped", ["classify", "--manifest", "gapped.csv", "--out", "cls-gap",
+                         *CLASSIFY_PARAMS]),
     ("reproduce-paper", ["reproduce-paper", "--out", "paper"]),
     ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
     ("workers-abc", ["classify", "--manifest", "cohort.csv", "--out", "bad",
@@ -88,6 +96,8 @@ STEPS = [
     ("field-through-file", ["jacobian", "--field", "classify.cfg/x.vol",
                             "--out", "jac-file"]),
     ("out-is-file", ["reproduce-paper", "--out", "classify.cfg"]),
+    ("classify-out-is-file", ["classify", "--manifest", "cohort.csv",
+                              "--out", "classify.cfg", *CLASSIFY_PARAMS]),
     ("fixture-na-only", ["reproduce-paper", "--fixture", "na-only.csv",
                          "--out", "paper-na"]),
 ]
