@@ -1,8 +1,9 @@
 """Patient-level orchestration and the ordering-hypothesis classifier.
 
-Per patient: register consecutive weekly volumes, warp the earlier
-delineation forward, partition regions, collect Jacobian samples, pool
-across week pairs, and classify. A patient is called PR when
+Per week pair: register the consecutive weekly volumes, warp the earlier
+delineation forward, partition regions and collect Jacobian samples. Per
+patient: pool the samples across week pairs and classify. A patient is
+called PR when
 
     mu_R <= 1.0  and  mu_R <= mu_U  and  mu_R <= mu_G
 
@@ -126,40 +127,31 @@ def classify(m: RegionMeans) -> Decision:
     return Decision.NO_DECISION
 
 
-def compute_pair_samples(record: PatientRecord,
-                         params: RegistrationParams = RegistrationParams()
-                         ) -> tuple[list[RegionSamples], list[tuple[int, int]]]:
-    """Register each consecutive week pair and collect region samples.
+def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
+                 params: RegistrationParams = RegistrationParams()
+                 ) -> tuple[RegionSamples, bool]:
+    """Region samples of one registered (patient id, earlier, later week) pair.
 
     All analysis happens in the later week's frame: the earlier delineation
     is warped forward, and the Jacobian map of the forward field is sampled
-    on that frame. Returns the samples of each pair and the (week, next
-    week) of each pair whose registration fell back to the identity
-    transform; a record with pair_samples set is not registered again.
+    on that frame. Returns the samples and whether the registration fell
+    back to the identity transform.
     """
-    if record.pair_samples is not None:
-        return record.pair_samples, []
-    samples, fallbacks = [], []
-    vol_next = volio.read_volume(record.weeks[0].volume_path)
-    mask_next = volio.read_mask(record.weeks[0].mask_path)
-    for k in range(len(record.weeks) - 1):
-        vol_prev, mask_prev = vol_next, mask_next
-        vol_next = volio.read_volume(record.weeks[k + 1].volume_path)
-        mask_next = volio.read_mask(record.weeks[k + 1].mask_path)
-        weeks = (record.weeks[k].week, record.weeks[k + 1].week)
-        try:
-            transform, trace = register(vol_prev, vol_next, params)
-            if trace.identity_fallback:
-                fallbacks.append(weeks)
-            warped = warp_mask(mask_prev, transform.forward)
-            part = partition_regions(warped, mask_next, week_index=k)
-            samples.append(collect_samples(jacobian_map(transform.forward), part))
-        except (GeometryMismatch, ValidationError) as exc:
-            # same class, message as its only argument: it still pickles
-            raise type(exc)(
-                f"patient {record.patient_id}, weeks {weeks[0]}->{weeks[1]}: "
-                f"{exc}") from exc
-    return samples, fallbacks
+    patient_id, earlier, later = pair
+    vol_prev = volio.read_volume(earlier.volume_path)
+    mask_prev = volio.read_mask(earlier.mask_path)
+    vol_next = volio.read_volume(later.volume_path)
+    mask_next = volio.read_mask(later.mask_path)
+    try:
+        transform, trace = register(vol_prev, vol_next, params)
+        warped = warp_mask(mask_prev, transform.forward)
+        part = partition_regions(warped, mask_next)
+        return (collect_samples(jacobian_map(transform.forward), part),
+                trace.identity_fallback)
+    except (GeometryMismatch, ValidationError) as exc:
+        # same class, message as its only argument: it still pickles
+        raise type(exc)(f"patient {patient_id}, weeks {earlier.week}->"
+                        f"{later.week}: {exc}") from exc
 
 
 def region_means(samples: list[RegionSamples], weeks: list[int],
@@ -337,24 +329,35 @@ class CohortReport:
 def run_cohort(records: list[PatientRecord],
                params: RegistrationParams = RegistrationParams(),
                workers: int = 1) -> CohortReport:
-    """Process every patient (optionally in parallel), classify under both
-    week limits, and assemble tables, metrics, Fisher results and the
-    pooled population ordering."""
+    """Register every week pair (optionally in parallel; records with
+    pair_samples set keep theirs), classify under both week limits, and
+    assemble tables, metrics, Fisher results and the pooled ordering."""
     if not records:
         raise ValidationError("empty cohort")
-    pairs = functools.partial(compute_pair_samples, params=params)
-    if workers == 1:
-        computed = list(map(pairs, records))
+    for r in records:
+        if r.pair_samples is not None and len(r.pair_samples) != len(r.weeks) - 1:
+            raise ValidationError(f"patient {r.patient_id}: {len(r.pair_samples)} "
+                                  f"preset pair samples for {len(r.weeks) - 1} week pairs")
+    pairs = [(r.patient_id, earlier, later) for r in records if r.pair_samples is None
+             for earlier, later in zip(r.weeks, r.weeks[1:])]
+    job = functools.partial(pair_samples, params=params)
+    if workers == 1 or not pairs:
+        computed = list(map(job, pairs))
     else:
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(records))) as pool_exec:
-            computed = list(pool_exec.map(pairs, records))
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(pairs))) as pool_exec:
+            computed = list(pool_exec.map(job, pairs))
+    done = iter(computed)
     warnings: list[str] = []
     results = []
     group_samples: dict[str, list[RegionSamples]] = {"all": [], "PR": [], "non-PR": []}
-    for record, (samples, fallbacks) in zip(records, computed):
-        warnings += [f"patient {record.patient_id}, weeks {a}->{b}: registration "
-                     "fell back to the identity transform" for a, b in fallbacks]
+    for record in records:
         weeks = [w.week for w in record.weeks]
+        outcomes = ([next(done) for _ in weeks[1:]] if record.pair_samples is None
+                    else [(s, False) for s in record.pair_samples])
+        samples = [s for s, _ in outcomes]
+        warnings += [f"patient {record.patient_id}, weeks {a}->{b}: registration "
+                     "fell back to the identity transform"
+                     for a, b, (_, fell_back) in zip(weeks, weeks[1:], outcomes) if fell_back]
         result = PatientResult(record.patient_id, record.recist, {}, {})
         for limit in WEEK_LIMITS:
             m = result.means[limit] = region_means(samples, weeks, limit)

@@ -17,11 +17,11 @@ from defield.cohort import (
     WeekEntry,
     build_contingency,
     classify,
-    compute_pair_samples,
     fixture_path,
     load_fixture,
     load_manifest,
     metrics,
+    pair_samples,
     population_ordering,
     region_means,
     reproduce_from_fixture,
@@ -221,9 +221,15 @@ def identical_patient(tmp_path):
 FAST = RegistrationParams(pyramid_levels=1, iterations_per_level=5)
 
 
+def each_pair(record: PatientRecord) -> list[tuple[RegionSamples, bool]]:
+    """pair_samples of each consecutive week pair of the record."""
+    return [pair_samples((record.patient_id, earlier, later), FAST)
+            for earlier, later in zip(record.weeks, record.weeks[1:])]
+
+
 class TestPatientPipeline:
     def test_identical_weeks_are_degenerate_boundary_pr(self, identical_patient):
-        samples, _ = compute_pair_samples(identical_patient, FAST)
+        samples = [s for s, _ in each_pair(identical_patient)]
         m = region_means(samples, [0, 1, 2], "all")
         assert m.mu_R == 1.0 and m.mu_G == 1.0
         assert m.mu_U == pytest.approx(1.0, abs=1e-4)
@@ -239,7 +245,7 @@ class TestPatientPipeline:
             mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
             weeks.append(write_week(tmp_path, f"week{k}", vol, mask))
         record = PatientRecord("p-empty", weeks, RecistLabel.NA)
-        m = region_means(compute_pair_samples(record, FAST)[0], [0, 1], "all")
+        m = region_means([pair_samples(("p-empty", *weeks), FAST)[0]], [0, 1], "all")
         assert "insufficient region" in m.note
         assert classify(m) == Decision.NO_DECISION
 
@@ -298,23 +304,60 @@ def test_identity_fallback_becomes_a_warning(monkeypatch, identical_patient, wor
 def test_no_fallback_no_warning(identical_patient):
     report = run_cohort([identical_patient], FAST)
     assert not any("fell back" in w for w in report.warnings)
-    assert compute_pair_samples(identical_patient, FAST)[1] == []
+    assert [fell_back for _, fell_back in each_pair(identical_patient)] == [False, False]
     # results are return values: the record is not written to
     assert identical_patient.pair_samples is None
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool run_cohort starts."""
+    sizes = []
+    futures = cohort.concurrent.futures
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_spreads_one_patients_pairs(identical_patient, pool_sizes):
+    # one patient with two week pairs still gets two processes
+    report = run_cohort([identical_patient], FAST, workers=2)
+    assert pool_sizes == [2]
+    assert report.as_dict() == run_cohort([identical_patient], FAST).as_dict()
+
+
+def preset_record(pid, label, n_weeks, n_pairs, rng):
+    weeks = [WeekEntry(k, f"week{k}.vol", f"mask{k}.vol") for k in range(n_weeks)]
+    pairs = [RegionSamples({r: rng.normal(1.0, 0.05, 50) for r in REGIONS})
+             for _ in range(n_pairs)]
+    return PatientRecord(pid, weeks, RecistLabel(label), pairs)
+
+
+def test_preset_samples_start_no_pool(pool_sizes):
+    rng = np.random.default_rng(7)
+    records = [preset_record("p0", "PR", 3, 2, rng), preset_record("p1", "PD", 2, 1, rng)]
+    report = run_cohort(records, workers=2)
+    assert pool_sizes == []
+    assert report.as_dict() == run_cohort(records, workers=1).as_dict()
+
+
+def test_preset_samples_need_one_entry_per_week_pair():
+    record = preset_record("p-extra", "PR", 2, 2, np.random.default_rng(8))
+    with pytest.raises(ValidationError,
+                       match="patient p-extra: 2 preset pair samples for 1 week pairs"):
+        run_cohort([record])
 
 
 def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):
     # the population ordering and the "all" box-plot rows share one pool
     rng = np.random.default_rng(6)
-
-    def record(pid, label, n_pairs):
-        weeks = [WeekEntry(k, f"week{k}.vol", f"mask{k}.vol")
-                 for k in range(n_pairs + 1)]
-        pairs = [RegionSamples({r: rng.normal(1.0, 0.05, 50) for r in REGIONS})
-                 for _ in range(n_pairs)]
-        return PatientRecord(pid, weeks, RecistLabel(label), pairs)
-
-    records = [record("p0", "PR", 3), record("p1", "PD", 2), record("p2", "NA", 3)]
+    records = [preset_record("p0", "PR", 4, 3, rng), preset_record("p1", "PD", 3, 2, rng),
+               preset_record("p2", "NA", 4, 3, rng)]
     sizes = []
     real_pool = cohort.pool
 

@@ -18,12 +18,14 @@ pair; register and stats again with their keys from --config files
 (classify.cfg, bootstrap.cfg); classify of both cohorts together with
 --workers 1, with --workers 2, and with population/test splits; classify
 of the first shrink patient's weeks 0, 2 and 3 (gapped.csv), whose pair
-2->3 lies outside the first three weeks; reproduce-paper; one
-missing-input error; classify --workers abc; phantom with --noise-sd nan
-and with --recist XX; stats with a directory as --config; jacobian with a
---field path through a regular file; reproduce-paper and classify with a
-regular file as --out, and reproduce-paper with a --fixture whose patients
-all have the NA response (na-only.csv, written next to the config files).
+2->3 lies outside the first three weeks, with --workers 1 and with
+--workers 2 (one patient whose pairs spread over two processes);
+reproduce-paper; one missing-input error; classify --workers abc; phantom
+with --noise-sd nan and with --recist XX; stats with a directory as
+--config; jacobian with a --field path through a regular file;
+reproduce-paper and classify with a regular file as --out, and
+reproduce-paper with a --fixture whose patients all have the NA response
+(na-only.csv, written next to the config files).
 Each step prints digests of its exit code, stdout and stderr; after the
 steps, each file under WORKDIR gets one line.
 Standard library only.
@@ -83,6 +85,8 @@ STEPS = [
                          "--test-ids", "s_p01,g_p01", *CLASSIFY_PARAMS]),
     ("classify-gapped", ["classify", "--manifest", "gapped.csv", "--out", "cls-gap",
                          *CLASSIFY_PARAMS]),
+    ("classify-gapped-w2", ["classify", "--manifest", "gapped.csv",
+                            "--out", "cls-gap-w2", "--workers", "2", *CLASSIFY_PARAMS]),
     ("reproduce-paper", ["reproduce-paper", "--out", "paper"]),
     ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
     ("workers-abc", ["classify", "--manifest", "cohort.csv", "--out", "bad",
