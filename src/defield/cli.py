@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-prev", required=True, dest="mask_prev")
     p.add_argument("--mask-next", required=True, dest="mask_next")
     p.add_argument("--field", required=True, help="forward displacement field")
-    p.add_argument("--week", type=int, default=0)
+    p.add_argument("--week", type=int, default=0,
+                   help="week index of the pair; accepted, changes no output")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_regions)
 

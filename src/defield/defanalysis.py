@@ -62,8 +62,9 @@ class RegionSamples:
         clean = {}
         for region in REGIONS:
             arr = np.asarray(self.samples.get(region, ()), dtype=np.float64).ravel()
-            if arr.size and arr.min() <= 0:
-                raise ValidationError(f"region {region} has non-positive samples")
+            if arr.size and not (np.isfinite(arr).all() and arr.min() > 0):
+                raise ValidationError(
+                    f"region {region} has non-finite or non-positive samples")
             clean[region] = arr
         self.samples = clean
 
@@ -158,11 +159,6 @@ def write_partition(path, part: RegionPartition) -> None:
     volio.write_labels(path, part.geometry, part.labels)
 
 
-def read_partition(path, week_index: int = 0) -> RegionPartition:
-    geometry, labels = volio.read_labels(path)
-    return RegionPartition(geometry, labels, week_index)
-
-
 def write_samples_csv(path, samples: RegionSamples) -> None:
     """Flat `label,j_value` CSV, regions in U,R,G,N order."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -191,4 +187,7 @@ def read_samples_csv(path) -> RegionSamples:
             raise ValidationError(f"{path}: not ASCII: {exc}") from None
         except ValueError:
             raise ValidationError(f"{path}: bad j_value {value!r}") from None
-    return RegionSamples({r: np.array(v) for r, v in collected.items()})
+    try:
+        return RegionSamples({r: np.array(v) for r, v in collected.items()})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -99,9 +99,6 @@ class Mask:
         object.__setattr__(self, "data", _frozen(
             self.data, np.uint8, self.geometry.dims, "Mask", max_value=1))
 
-    def volume_voxels(self) -> int:
-        return int(self.data.sum())
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -122,19 +119,11 @@ class VectorField:
     def max_norm(self) -> float:
         return _max_norm(self.data)
 
-    def mean_norm(self) -> float:
-        return float(np.sqrt((self.data.astype(np.float64) ** 2).sum(axis=0)).mean())
-
 
 def require_same_geometry(a, b) -> None:
     if a.geometry != b.geometry:
         raise GeometryMismatch(
             f"geometry mismatch: {a.geometry} vs {b.geometry}")
-
-
-def index_coords(geometry: GridGeometry) -> np.ndarray:
-    """Identity coordinate grid, shape (3, nx, ny, nz), float32."""
-    return np.indices(geometry.dims, dtype=np.float32)
 
 
 def _sample_many(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
@@ -237,5 +226,5 @@ def upsample_field(field: VectorField, target: GridGeometry) -> VectorField:
     Inverse of the downsample2 index convention: fine voxel f samples the
     coarse field at f/2.
     """
-    coords = index_coords(target) * 0.5
+    coords = np.indices(target.dims, dtype=np.float32) * 0.5
     return VectorField(target, 2.0 * _sample_many(field.data, coords, order=1))

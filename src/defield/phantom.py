@@ -125,38 +125,6 @@ def grid_center(grid: GridGeometry) -> tuple[float, float, float]:
     return tuple((d - 1) / 2.0 for d in grid.dims)
 
 
-def affine_field(a_matrix, b, grid: GridGeometry) -> tuple[VectorField, float]:
-    """Field realizing phi(z) = A (z - c) + c + b about the grid center.
-
-    The analytic Jacobian determinant is det(A) everywhere; A must have
-    positive determinant.
-    """
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    det = float(np.linalg.det(a_matrix))
-    if det <= 0:
-        raise ValidationError(f"affine matrix must have det > 0, got {det}")
-    offsets, _ = _radius_grid(grid, grid_center(grid))
-    mapped = np.einsum("kl,lxyz->kxyz", a_matrix, offsets) + b.reshape(3, 1, 1, 1)
-    disp = (offsets - mapped).astype(np.float32)
-    return VectorField(grid, disp), det
-
-
-def radial_gaussian_field(center, amplitude: float, width: float,
-                          grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
-    """Field realizing the outward radial map r -> r (1 + a e^{-r^2/2s^2})
-    about center, together with its analytic Jacobian determinant map.
-
-    Positive amplitude models growth (J > 1 near the center), negative
-    shrink.
-    """
-    comp = RadialComponent(amplitude, width)
-    offsets, r = _radius_grid(grid, center)
-    disp = (-offsets * comp.factor(r)).astype(np.float32)
-    jac = comp.jacobian(r).astype(np.float32)
-    return VectorField(grid, disp), JacobianMap(grid, jac)
-
-
 def pullback(rm: RadialMap, center,
              grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
     """Displacement g with z - g(z) = inverse of the radial map, together
@@ -179,7 +147,6 @@ class PhantomSpec:
     """Configuration of a synthetic multi-week patient course."""
 
     grid: GridGeometry
-    center: tuple[float, float, float] | None = None
     radius: float = 12.0           # initial tumor radius, voxels
     mode: str = "shrink"           # shrink | grow | stable
     amplitude: float = 1.1         # peak displacement per week, voxels
@@ -203,8 +170,6 @@ class PhantomSpec:
             raise ValidationError("a course needs at least 2 weeks")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.center is None:
-            object.__setattr__(self, "center", grid_center(self.grid))
 
 
 # shape constants of the generated scene, relative to the tumor radius
@@ -238,7 +203,6 @@ class SyntheticCourse:
     weeks: list[SyntheticWeek]
     gt_fields: list[VectorField]       # forward field per consecutive pair
     gt_jacobians: list[JacobianMap]    # analytic Jacobian of each gt field
-    radii: list[float]                 # anatomy tumor radius per week
 
     def write(self, outdir, patient_id: str) -> list[WeekEntry]:
         """Write week volumes/masks (and ground truth) under
@@ -275,15 +239,13 @@ def _week_map(spec: PhantomSpec, radius: float, bg_amplitude: float) -> RadialMa
 
 
 def blob_volume(grid: GridGeometry, center, radius: float,
-                texture_amplitude: float = _TEXTURE_AMPLITUDE,
                 seed: int = 0) -> Volume:
     """Gaussian intensity blob over a smooth seeded background texture."""
     _, r = _radius_grid(grid, center)
     img = 0.2 + np.exp(-0.5 * (r / (_BLOB_WIDTH_FACTOR * radius)) ** 2)
-    if texture_amplitude > 0:
-        rng = np.random.default_rng((seed, 0))
-        tex = _smooth_array(rng.standard_normal(grid.dims), _TEXTURE_SIGMA)
-        img = img + texture_amplitude * tex / tex.std()
+    rng = np.random.default_rng((seed, 0))
+    tex = _smooth_array(rng.standard_normal(grid.dims), _TEXTURE_SIGMA)
+    img = img + _TEXTURE_AMPLITUDE * tex / tex.std()
     return Volume(grid, img.astype(np.float32))
 
 
@@ -311,7 +273,7 @@ def synth_course(spec: PhantomSpec) -> SyntheticCourse:
     empty under ground-truth warping), stable mode repeats the scene.
     Bit-reproducible for a fixed seed.
     """
-    grid, center = spec.grid, spec.center
+    grid, center = spec.grid, grid_center(spec.grid)
     clean = blob_volume(grid, center, spec.radius, seed=spec.seed)
     bg_amp = _BG_AMPLITUDE_FACTOR * _tumor_amplitude(spec, spec.radius)
 
@@ -345,7 +307,7 @@ def synth_course(spec: PhantomSpec) -> SyntheticCourse:
         radii.append(float(rm.map(radii[week])))
 
     weeks = [SyntheticWeek(v, m) for v, m in zip(volumes, masks)]
-    return SyntheticCourse(spec, weeks, fields, jacobians, radii)
+    return SyntheticCourse(spec, weeks, fields, jacobians)
 
 
 def synth_cohort(spec: PhantomSpec, n_patients: int) -> list[SyntheticCourse]:

@@ -53,7 +53,6 @@ thread does not exist, and they would wait on it forever.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -138,14 +137,14 @@ class SymmetricTransform:
 class TraceEntry:
     """One candidate step: energy is the state's energy after the step
     (the candidate's if accepted), candidate_energy what the candidate
-    scored (None in traces written before it was recorded)."""
+    scored."""
 
     level: int
     iteration: int
     energy: float
     max_update: float
     accepted: bool
-    candidate_energy: float | None = None
+    candidate_energy: float
 
 
 @dataclass
@@ -156,16 +155,9 @@ class ConvergenceTrace:
     identity_fallback: bool = False
 
     def append(self, entry: TraceEntry) -> None:
-        energies = (entry.energy, entry.candidate_energy)
-        if not all(math.isfinite(e) for e in energies if e is not None):
+        if not (math.isfinite(entry.energy) and math.isfinite(entry.candidate_energy)):
             raise ValidationError("trace energy must be finite")
         self.entries.append(entry)
-
-    def accepted_energies(self, level: int) -> list[float]:
-        return [e.energy for e in self.entries if e.level == level and e.accepted]
-
-    def levels(self) -> list[int]:
-        return sorted({e.level for e in self.entries})
 
     def to_json_dict(self) -> list[dict]:
         return [vars(e) for e in self.entries]
@@ -401,7 +393,8 @@ def register(source: Volume, target: Volume,
 def save_transform(dirpath, transform: SymmetricTransform,
                    params: RegistrationParams, trace: ConvergenceTrace) -> None:
     """Three .vol field files plus a JSON sidecar of params, trace and
-    whether register fell back to the identity."""
+    whether register fell back to the identity. The sidecar is a record of
+    the run: nothing reads it back (jacobian and regions read forward.vol)."""
     os.makedirs(dirpath, exist_ok=True)
     volio.write_field(os.path.join(dirpath, "velocity.vol"), transform.velocity)
     volio.write_field(os.path.join(dirpath, "forward.vol"), transform.forward)
@@ -409,18 +402,3 @@ def save_transform(dirpath, transform: SymmetricTransform,
     sidecar = {"params": vars(params), "trace": trace.to_json_dict(),
                "identity_fallback": trace.identity_fallback}
     volio.write_json(os.path.join(dirpath, "transform.json"), sidecar)
-
-
-def load_transform(dirpath) -> tuple[SymmetricTransform, RegistrationParams, ConvergenceTrace]:
-    transform = SymmetricTransform(
-        volio.read_field(os.path.join(dirpath, "velocity.vol")),
-        volio.read_field(os.path.join(dirpath, "forward.vol")),
-        volio.read_field(os.path.join(dirpath, "backward.vol")),
-    )
-    with open(os.path.join(dirpath, "transform.json")) as fh:
-        sidecar = json.load(fh)
-    params = RegistrationParams(**sidecar["params"])
-    # files written before identity_fallback was recorded load as False
-    trace = ConvergenceTrace([TraceEntry(**e) for e in sidecar["trace"]],
-                             sidecar.get("identity_fallback", False))
-    return transform, params, trace

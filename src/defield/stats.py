@@ -51,10 +51,6 @@ class SummaryStats:
         if self.sd < 0:
             raise ValidationError(f"sd must be >= 0, got {self.sd}")
 
-    @property
-    def degenerate(self) -> bool:
-        return self.n < 2
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -67,10 +63,6 @@ class Interval:
             raise ValidationError(f"interval bounds out of order: {self.lo} > {self.hi}")
         if not 0 < self.level < 1:
             raise ValidationError(f"confidence level must be in (0,1), got {self.level}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class Contingency2x2:
 
 def summarize(samples) -> SummaryStats:
     """n, mean, and sample sd of a non-empty collection; a single sample
-    yields sd=0 and is flagged via SummaryStats.degenerate."""
+    yields sd=0."""
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValidationError("cannot summarize an empty sample")
@@ -108,16 +100,11 @@ def summarize(samples) -> SummaryStats:
     return SummaryStats(int(arr.size), float(arr.mean()), sd)
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF)."""
-    return float(special.ndtri(p))
-
-
 def normal_ci(stats: SummaryStats, level: float = 0.95) -> Interval:
     """Large-sample interval mean +/- z * sd / sqrt(n)."""
     if stats.n < 2:
         raise ValidationError("normal_ci needs n >= 2")
-    z = normal_quantile(0.5 + level / 2.0)
+    z = float(special.ndtri(0.5 + level / 2.0))
     half = z * stats.sd / math.sqrt(stats.n)
     return Interval(stats.mean - half, stats.mean + half, level)
 
@@ -209,7 +196,8 @@ def hypergeom_pmfs(table: Contingency2x2) -> tuple[np.ndarray, np.ndarray, int]:
 def fisher_exact(table: Contingency2x2) -> tuple[float, float]:
     """Sample odds ratio and two-sided exact p for a 2x2 table.
 
-    When b*c == 0 the odds ratio is reported as +inf; the p-value is still
+    When b*c == 0 the odds ratio is +inf, or nan when a*d == 0 as well
+    (0/0, as scipy.stats.fisher_exact reports it); the p-value is still
     computed.
     """
     ks, pmf, obs = hypergeom_pmfs(table)
@@ -219,7 +207,7 @@ def fisher_exact(table: Contingency2x2) -> tuple[float, float]:
     included = pmf <= pmf[obs] * (1.0 + 1e-7)
     p = 1.0 if included.all() else min(float(pmf[included].sum()), 1.0)
     if table.b * table.c == 0:
-        odds = math.inf
+        odds = math.inf if table.a * table.d else math.nan
     else:
         odds = (table.a * table.d) / (table.b * table.c)
     return (odds, p)

@@ -164,9 +164,5 @@ def read_mask(path) -> Mask:
     return Mask(geometry, arr)
 
 
-def read_labels(path):
-    return _read(path, "uint8", None, "uint8 label grid")
-
-
 def read_field(path) -> VectorField:
     return VectorField(*_read(path, "float32-le", 3, "3-component float32 field"))

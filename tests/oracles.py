@@ -1,0 +1,43 @@
+"""Analytic fields with closed-form Jacobians, used as test oracles."""
+import numpy as np
+
+from defield.defanalysis import JacobianMap
+from defield.grids import GridGeometry, ValidationError, VectorField
+from defield.phantom import RadialComponent, _radius_grid, grid_center
+
+
+def affine_field(a_matrix, b, grid: GridGeometry) -> tuple[VectorField, float]:
+    """Field realizing phi(z) = A (z - c) + c + b about the grid center.
+
+    The analytic Jacobian determinant is det(A) everywhere; A must have
+    positive determinant.
+    """
+    a_matrix = np.asarray(a_matrix, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    det = float(np.linalg.det(a_matrix))
+    if det <= 0:
+        raise ValidationError(f"affine matrix must have det > 0, got {det}")
+    offsets, _ = _radius_grid(grid, grid_center(grid))
+    mapped = np.einsum("kl,lxyz->kxyz", a_matrix, offsets) + b.reshape(3, 1, 1, 1)
+    disp = (offsets - mapped).astype(np.float32)
+    return VectorField(grid, disp), det
+
+
+def radial_gaussian_field(center, amplitude: float, width: float,
+                          grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
+    """Field realizing the outward radial map r -> r (1 + a e^{-r^2/2s^2})
+    about center, together with its analytic Jacobian determinant map.
+
+    Positive amplitude models growth (J > 1 near the center), negative
+    shrink.
+    """
+    comp = RadialComponent(amplitude, width)
+    offsets, r = _radius_grid(grid, center)
+    disp = (-offsets * comp.factor(r)).astype(np.float32)
+    jac = comp.jacobian(r).astype(np.float32)
+    return VectorField(grid, disp), JacobianMap(grid, jac)
+
+
+def mean_norm(field: VectorField) -> float:
+    """Mean vector length of a field, in float64."""
+    return float(np.sqrt((field.data.astype(np.float64) ** 2).sum(axis=0)).mean())

@@ -22,10 +22,9 @@ from defield.grids import (
     Mask,
     ValidationError,
     VectorField,
-    index_coords,
 )
-from defield.phantom import radial_gaussian_field
 from defield.registration import compose
+from oracles import radial_gaussian_field
 
 G12 = GridGeometry((12, 12, 12))
 INTERIOR = (slice(1, -1),) * 3
@@ -33,7 +32,7 @@ INTERIOR = (slice(1, -1),) * 3
 
 def linear_field(geometry, matrix):
     """Displacement with phi(z) = M z, i.e. g = (I - M) z."""
-    coords = index_coords(geometry)
+    coords = np.indices(geometry.dims, dtype=np.float32)
     m = np.asarray(matrix, dtype=np.float64)
     mapped = np.einsum("kl,lxyz->kxyz", m, coords)
     return VectorField(geometry, (coords - mapped).astype(np.float32))
@@ -87,7 +86,7 @@ class TestJacobianMap:
     def test_quadratic_interior_stencil(self):
         # g_x = x^2 / 64: the central difference at x = 4 is
         # (25 - 9) / (2 * 64) = 0.125, so J = 1 - 0.125
-        x = index_coords(G12)[0]
+        x = np.indices(G12.dims, dtype=np.float32)[0]
         data = np.stack([x * x / 64, np.zeros_like(x), np.zeros_like(x)])
         jm = jacobian_map(VectorField(G12, data))
         assert jm.data[4, 4, 4] == pytest.approx(0.875)
@@ -190,6 +189,11 @@ class TestCollectSamples:
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ValidationError):
             RegionSamples({"U": np.array([1.0, -0.5])})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, value):
+        with pytest.raises(ValidationError, match="region G has non-finite"):
+            RegionSamples({"U": [1.0], "G": [1.0, value]})
 
 
 class TestPool:

@@ -16,7 +16,6 @@ from defield.grids import (
     downsample2,
     gaussian_kernel1d,
     gaussian_smooth,
-    index_coords,
     upsample_field,
     warp_mask,
     warp_volume,
@@ -289,9 +288,3 @@ class TestPyramid:
         out = upsample_field(field, fine)
         assert out.geometry == fine
         assert np.allclose(out.data, 2.0, atol=1e-6)
-
-
-def test_index_coords_matches_indices():
-    coords = index_coords(G8)
-    assert coords.shape == (3, 8, 8, 8)
-    assert coords[0, 3, 0, 0] == 3.0 and coords[2, 0, 0, 5] == 5.0

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from defield import volio
 from defield.defanalysis import jacobian_map
 from defield.grids import (
     GridGeometry,
@@ -16,7 +17,6 @@ from defield.grids import (
     VectorField,
     Volume,
     _smooth_array,
-    index_coords,
     warp_volume,
 )
 from defield import registration
@@ -39,8 +39,8 @@ from defield.registration import (
     lcc_similarity,
     register,
     save_transform,
-    load_transform,
 )
+from oracles import mean_norm
 
 G24 = GridGeometry((24, 24, 24))
 
@@ -114,7 +114,7 @@ class TestExpVelocity:
         # v(z) = a (z - c): the flow displacement under phi(z) = z - g(z)
         # is (1 - e^{-a}) (z - c); checked on the interior (border samples clamp)
         g = GridGeometry((32, 32, 32))
-        idx = index_coords(g)
+        idx = np.indices(g.dims, dtype=np.float32)
         v = VectorField(g, (a * (idx - 15.5)).astype(np.float32))
         d = exp_velocity(v, auto_exp_steps(v.max_norm(), 4))
         expected = (1.0 - math.exp(-a)) * (idx - 15.5)
@@ -124,7 +124,7 @@ class TestExpVelocity:
 
     def test_jacobian_stays_positive(self):
         g = GridGeometry((32, 32, 32))
-        idx = index_coords(g)
+        idx = np.indices(g.dims, dtype=np.float32)
         r2 = ((idx - 15.5) ** 2).sum(axis=0)
         bump = np.exp(-r2 / (2 * 6.0 ** 2)).astype(np.float32)
         v = VectorField(g, np.stack([4.0 * bump, 2.0 * bump, -3.0 * bump]))
@@ -134,7 +134,7 @@ class TestExpVelocity:
 
     def test_inverse_composition_residual(self):
         g = GridGeometry((48, 48, 48))
-        idx = index_coords(g)
+        idx = np.indices(g.dims, dtype=np.float32)
         r2 = ((idx - 23.5) ** 2).sum(axis=0)
         bump = np.exp(-r2 / (2 * 8.0 ** 2)).astype(np.float32)
         v = VectorField(g, np.stack([5.0 * bump, np.zeros(g.dims, np.float32),
@@ -143,7 +143,7 @@ class TestExpVelocity:
         steps = auto_exp_steps(v.max_norm(), 4)
         fwd = exp_velocity(v, steps)
         bwd = exp_velocity(VectorField(g, -v.data), steps)
-        assert compose(fwd, bwd).mean_norm() < 0.05
+        assert mean_norm(compose(fwd, bwd)) < 0.05
 
     def test_steps_validated(self):
         with pytest.raises(ValidationError):
@@ -247,7 +247,7 @@ class TestRegister:
         transform, _ = register(vol, vol,
                                 RegistrationParams(pyramid_levels=1,
                                                    iterations_per_level=5))
-        assert transform.forward.mean_norm() < 0.05
+        assert mean_norm(transform.forward) < 0.05
 
     def test_constant_volume_rejected(self):
         flat = Volume.full(G24, 1.0)
@@ -279,7 +279,7 @@ class TestRegister:
     def test_inverse_consistency(self, blob_registration):
         *_, transform, trace = blob_registration
         residual = compose(transform.forward, transform.backward)
-        assert residual.mean_norm() < 0.1
+        assert mean_norm(residual) < 0.1
         assert residual.max_norm() < 0.5
 
     def test_transform_consistent_with_velocity(self, blob_registration):
@@ -291,8 +291,9 @@ class TestRegister:
 
     def test_trace_monotone_and_bounded(self, blob_registration):
         *_, params, transform, trace = blob_registration
-        for level in trace.levels():
-            energies = trace.accepted_energies(level)
+        for level in {e.level for e in trace.entries}:
+            energies = [e.energy for e in trace.entries
+                        if e.level == level and e.accepted]
             assert all(b >= a - 1e-6 for a, b in zip(energies, energies[1:]))
         assert len(trace.entries) <= params.pyramid_levels * params.iterations_per_level
         assert all(math.isfinite(e.energy) for e in trace.entries)
@@ -382,7 +383,7 @@ def test_register_work_counts(monkeypatch):
 def test_fixed_stats_once_per_level_and_direction(monkeypatch):
     counts = _count_calls(monkeypatch, ("_fixed_stats",))
     _, trace = register(*_small_pair(45), SMALL_PARAMS)
-    assert trace.levels() == [0, 1]
+    assert sorted({e.level for e in trace.entries}) == [0, 1]
     assert counts["_fixed_stats"] == 2 * 2
 
 
@@ -392,7 +393,8 @@ def test_identity_energy_once_at_the_finest_level(monkeypatch):
     never-worse-than-identity check, and the final warped energy."""
     counts = _count_calls(monkeypatch, ("_exp_array", "_lcc"))
     _, trace = register(*_small_pair(45), SMALL_PARAMS)
-    assert trace.accepted_energies(0)  # the finest level starts from v != 0
+    # the finest level starts from v != 0
+    assert any(e.accepted for e in trace.entries if e.level == 0)
     assert counts["_lcc"] == counts["_exp_array"] + 1 + 1
 
 
@@ -438,32 +440,45 @@ def test_concurrent_registers_match_serial():
 def test_trace_rejects_nonfinite_energy():
     trace = ConvergenceTrace()
     with pytest.raises(ValidationError):
-        trace.append(TraceEntry(0, 0, float("nan"), 1.0, True))
+        trace.append(TraceEntry(0, 0, float("nan"), 1.0, True, 0.5))
+    with pytest.raises(ValidationError):
+        trace.append(TraceEntry(0, 0, 0.5, 1.0, False, float("nan")))
+
+
+def _read_sidecar(dirpath):
+    """The params, trace entries and identity_fallback in transform.json."""
+    sidecar = json.loads((dirpath / "transform.json").read_text())
+    return (RegistrationParams(**sidecar["params"]),
+            [TraceEntry(**e) for e in sidecar["trace"]], sidecar["identity_fallback"])
 
 
 def test_transform_with_four_exp_steps_loads(tmp_path):
-    """A transform.json written with the earlier default minimum of four
-    squarings still loads, and its fields match that minimum."""
+    """A transform saved with the earlier default minimum of four squarings
+    records that minimum, and its fields match it."""
     params = RegistrationParams(pyramid_levels=1, iterations_per_level=5,
                                 exp_steps=4)
     transform, trace = register(*_small_pair(46), params)
     save_transform(tmp_path, transform, params, trace)
-    back, params_back, _ = load_transform(tmp_path)
+    params_back, _, _ = _read_sidecar(tmp_path)
+    velocity = volio.read_field(tmp_path / "velocity.vol")
+    forward = volio.read_field(tmp_path / "forward.vol")
     assert params_back.exp_steps == 4
-    steps = auto_exp_steps(back.velocity.max_norm(), params_back.exp_steps)
-    fwd = exp_velocity(back.velocity, steps)
-    assert np.abs(fwd.data - back.forward.data).max() < 1e-4
+    steps = auto_exp_steps(velocity.max_norm(), params_back.exp_steps)
+    fwd = exp_velocity(velocity, steps)
+    assert np.abs(fwd.data - forward.data).max() < 1e-4
 
 
 def test_transform_save_load_roundtrip(tmp_path, blob_registration):
     *_, params, transform, trace = blob_registration
     save_transform(tmp_path, transform, params, trace)
-    back, params_back, trace_back = load_transform(tmp_path)
-    assert np.array_equal(back.velocity.data, transform.velocity.data)
-    assert np.array_equal(back.forward.data, transform.forward.data)
+    params_back, entries_back, fallback_back = _read_sidecar(tmp_path)
+    assert np.array_equal(volio.read_field(tmp_path / "velocity.vol").data,
+                          transform.velocity.data)
+    assert np.array_equal(volio.read_field(tmp_path / "forward.vol").data,
+                          transform.forward.data)
     assert params_back == params
-    assert trace_back.entries == trace.entries
-    assert trace_back.identity_fallback is False
+    assert entries_back == trace.entries
+    assert fallback_back is False
 
 
 def _check_level_ends(trace, params):
@@ -472,7 +487,7 @@ def _check_level_ends(trace, params):
     candidate it halved; and no earlier pair of rejections in the level
     met that rule."""
     floor = MIN_STEP_FRACTION * params.step_scale
-    for level in trace.levels():
+    for level in sorted({e.level for e in trace.entries}):
         entries = [e for e in trace.entries if e.level == level]
 
         def halving_rule(i):
@@ -552,23 +567,4 @@ def test_identity_fallback_is_reported(monkeypatch, tmp_path):
     for name in ("velocity", "forward", "backward"):
         assert not getattr(transform, name).data.any()
     save_transform(tmp_path, transform, params, trace)
-    with open(tmp_path / "transform.json") as fh:
-        assert json.load(fh)["identity_fallback"] is True
-    assert load_transform(tmp_path)[2].identity_fallback is True
-
-
-def test_transform_json_without_new_keys_loads(tmp_path, blob_registration):
-    """A sidecar written before candidate_energy and identity_fallback
-    were recorded still loads."""
-    *_, params, transform, trace = blob_registration
-    save_transform(tmp_path, transform, params, trace)
-    path = tmp_path / "transform.json"
-    sidecar = json.loads(path.read_text())
-    del sidecar["identity_fallback"]
-    for entry in sidecar["trace"]:
-        del entry["candidate_energy"]
-    path.write_text(json.dumps(sidecar))
-    _, _, back = load_transform(tmp_path)
-    assert back.identity_fallback is False
-    assert [e.candidate_energy for e in back.entries] == [None] * len(trace.entries)
-    assert [e.energy for e in back.entries] == [e.energy for e in trace.entries]
+    assert _read_sidecar(tmp_path)[2] is True

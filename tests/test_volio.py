@@ -53,7 +53,8 @@ def test_labels_roundtrip(tmp_path):
     labels = np.arange(24, dtype=np.uint8).reshape(GEOM.dims) % 4
     p1, p2 = tmp_path / "l1.vol", tmp_path / "l2.vol"
     volio.write_labels(p1, GEOM, labels)
-    geom, back = volio.read_labels(p1)
+    geom, back, dtype, components = volio.read_raw(p1)
+    assert (dtype, components) == ("uint8", None)
     assert geom == GEOM
     assert np.array_equal(back, labels)
     volio.write_labels(p2, geom, back)
@@ -65,7 +66,7 @@ def test_x_fastest_byte_layout(tmp_path):
     payload = bytes(range(8))  # x fastest, then y, then z
     path = tmp_path / "layout.vol"
     path.write_bytes(header + payload)
-    _, arr = volio.read_labels(path)
+    _, arr, *_ = volio.read_raw(path)
     assert arr[1, 0, 0] == 1
     assert arr[0, 1, 0] == 2
     assert arr[0, 0, 1] == 4
@@ -111,8 +112,6 @@ def test_wrong_reader_rejects(tmp_path):
         volio.read_mask(path)
     with pytest.raises(VolFormatError):
         volio.read_field(path)
-    with pytest.raises(VolFormatError):
-        volio.read_labels(path)
     mask_path, field_path = tmp_path / "m.vol", tmp_path / "f.vol"
     volio.write_mask(mask_path, Mask(GEOM, np.zeros(GEOM.dims, dtype=np.uint8)))
     volio.write_field(field_path, VectorField.zero(GEOM))
