@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import defanalysis, volio
 from .cohort import (
+    BOXPLOT_COLUMNS,
     WEEK_LIMITS,
     CohortReport,
     Decision,
@@ -29,7 +30,7 @@ from .cohort import (
     Tabulation,
     ValidationError,
     _recist,
-    boxplot_row,
+    boxplot_rows,
     load_fixture,
     load_manifest,
     reproduce_from_fixture,
@@ -141,8 +142,10 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _check_out(path: str) -> None:
-    """Fail before any work, creating nothing, when --out lies under a
-    regular file (os.stat raises) or is one (as os.makedirs would)."""
+    """Fail before any work, creating nothing, when --out is empty, lies
+    under a regular file (os.stat raises) or is one (as os.makedirs would)."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "--out is empty", path)
     try:
         if not stat.S_ISDIR(os.stat(path).st_mode):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
@@ -173,9 +176,8 @@ def _write_tables(path, tables: dict[str, Tabulation | None]) -> None:
 
 
 def _write_boxplot(path, rows: list[dict], keys: tuple[str, ...]) -> None:
-    """boxplot.csv: the label columns in keys, then the boxplot_row fields."""
-    columns = keys + ("n", "mean", "median", "q1", "q3",
-                      "whisker_lo98", "whisker_hi98")
+    """boxplot.csv: the label columns in keys, then BOXPLOT_COLUMNS."""
+    columns = keys + BOXPLOT_COLUMNS
     write_csv(path, ",".join(columns), ([row[c] for c in columns] for row in rows))
 
 
@@ -220,31 +222,26 @@ def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     samples = defanalysis.read_samples_csv(args.samples)
     out = _outdir(args)
-    report = {}
-    records = []
-    boxplot_rows = []
-    for region in defanalysis.REGIONS:
-        values = samples.samples[region]
+    report, summaries, records, rows = {}, {}, [], []
+    for region, values in samples.samples.items():
         if values.size == 0:
-            report[region] = None
+            report[region] = summaries[region] = None
             continue
-        stats = summarize(values)
-        entry = {"n": stats.n, "mean": stats.mean, "sd": stats.sd}
-        if stats.n >= 2:
-            ci = normal_ci(stats, cfg.confidence_level)
-            boot = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
-                                cfg.bootstrap_seed)
-            entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=[boot.lo, boot.hi])
-            inputs = {"region": region, "n": stats.n, "sd": stats.sd,
-                      "level": cfg.confidence_level}
-            records.append(record("normal_ci", inputs, stats.mean,
-                                  interval=[ci.lo, ci.hi]))
-            records.append(record("bootstrap_ci",
-                                  {**inputs, "b": cfg.bootstrap_b,
-                                   "seed": cfg.bootstrap_seed},
-                                  stats.mean, interval=[boot.lo, boot.hi]))
-            boxplot_rows.append({"region": region, **boxplot_row(values, stats)})
-        report[region] = entry
+        stats = summaries[region] = summarize(values)
+        entry = report[region] = {"n": stats.n, "mean": stats.mean, "sd": stats.sd}
+        if stats.n < 2:
+            continue
+        ci = normal_ci(stats, cfg.confidence_level)
+        boot = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
+                            cfg.bootstrap_seed)
+        entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=[boot.lo, boot.hi])
+        inputs = {"region": region, "n": stats.n, "sd": stats.sd,
+                  "level": cfg.confidence_level}
+        records.append(record("normal_ci", inputs, stats.mean, interval=[ci.lo, ci.hi]))
+        records.append(record("bootstrap_ci",
+                              {**inputs, "b": cfg.bootstrap_b, "seed": cfg.bootstrap_seed},
+                              stats.mean, interval=[boot.lo, boot.hi]))
+        rows.append([region, stats.n, stats.mean, stats.sd, ci.lo, ci.hi, boot.lo, boot.hi])
     volio.write_json(os.path.join(out, "stats.json"),
                      {"confidence_level": cfg.confidence_level,
                       "bootstrap_b": cfg.bootstrap_b,
@@ -252,12 +249,9 @@ def cmd_stats(args) -> int:
                       "regions": report,
                       "records": records})
     write_csv(os.path.join(out, "stats.csv"),
-              "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi",
-              ([region, entry["n"], entry["mean"], entry["sd"],
-                *entry["normal_ci"], *entry["bootstrap_ci"]]
-               for region, entry in report.items()
-               if entry is not None and "normal_ci" in entry))
-    _write_boxplot(os.path.join(out, "boxplot.csv"), boxplot_rows, ("region",))
+              "region,n,mean,sd,normal_lo,normal_hi,boot_lo,boot_hi", rows)
+    _write_boxplot(os.path.join(out, "boxplot.csv"), boxplot_rows(samples, summaries),
+                   ("region",))
     print(f"stats for {sum(1 for r in report.values() if r)} regions -> {out}")
     return EXIT_OK
 
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_record(code: str, message: str, input_path=None) -> None:
     record = {"error": code, "message": message}
-    if input_path:
+    if input_path is not None:
         record["input"] = str(input_path)
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 

@@ -269,25 +269,47 @@ class OrderingResult:
     p_values: dict[str, dict[str, float]]
 
 
-def population_ordering(pooled: RegionSamples) -> OrderingResult:
-    """Pairwise pooled t-tests between all region pairs of a pooled sample
-    and the region ordering by ascending mean."""
-    empty = pooled.empty_regions()
+def region_summaries(samples: RegionSamples) -> dict[str, SummaryStats | None]:
+    """Each region's summary of a pooled sample, None for an empty region."""
+    return {r: summarize(values) if values.size else None
+            for r, values in samples.samples.items()}
+
+
+def population_ordering(summaries: dict[str, SummaryStats | None]) -> OrderingResult:
+    """Pairwise pooled t-tests between all region pairs of a pooled
+    sample's region summaries and the region ordering by ascending mean."""
+    empty = [r for r in REGIONS if summaries[r] is None]
     if empty:
         raise ValidationError(f"cannot order with empty regions: {empty}")
-    summaries = {r: summarize(pooled.samples[r]) for r in REGIONS}
     t_stats: dict[str, dict[str, float]] = {r: {} for r in REGIONS}
     p_values: dict[str, dict[str, float]] = {r: {} for r in REGIONS}
     for x in REGIONS:
         for y in REGIONS:
-            if x == y:
-                continue
-            t, p = pooled_t_test(summaries[x], summaries[y])
-            t_stats[x][y] = t
-            p_values[x][y] = p
+            if x != y:
+                t_stats[x][y], p_values[x][y] = pooled_t_test(summaries[x], summaries[y])
     means = {r: summaries[r].mean for r in REGIONS}
     order = sorted(REGIONS, key=lambda r: means[r])
     return OrderingResult(means, order, t_stats, p_values)
+
+
+BOXPLOT_COLUMNS = ("n", "mean", "median", "q1", "q3", "whisker_lo98", "whisker_hi98")
+
+
+def boxplot_rows(samples: RegionSamples, summaries: dict[str, SummaryStats | None],
+                 **labels) -> list[dict]:
+    """Box-plot rows of the regions with at least two samples: the labels,
+    the region, then BOXPLOT_COLUMNS (n, mean, median, quartiles and the
+    98% normal-CI whiskers of the mean) as Python ints and floats."""
+    rows = []
+    for region, stats in summaries.items():
+        if stats is None or stats.n < 2:
+            continue
+        whiskers = normal_ci(stats, 0.98)
+        q1, med, q3 = np.quantile(samples.samples[region], [0.25, 0.5, 0.75])
+        values = (stats.n, stats.mean, float(med), float(q1), float(q3),
+                  whiskers.lo, whiskers.hi)
+        rows.append({**labels, "region": region, **dict(zip(BOXPLOT_COLUMNS, values))})
+    return rows
 
 
 @dataclass
@@ -372,40 +394,17 @@ def run_cohort(records: list[PatientRecord],
     tables, errors = tabulate_limits(results)
     warnings += [f"contingency [{limit}]: {msg}" for limit, msg in errors.items()]
 
-    pooled, ordering = {}, None
+    # "all" is never empty: every record has at least one week pair
+    pooled = {group: pool(members) for group, members in group_samples.items() if members}
+    summaries = {group: region_summaries(p) for group, p in pooled.items()}
+    ordering = None
     try:
-        # an empty "all" group fails to pool; the other groups are then empty
-        pooled = {group: pool(members) for group, members in group_samples.items()
-                  if members or group == "all"}
-        ordering = population_ordering(pooled["all"])
+        ordering = population_ordering(summaries["all"])
     except ValidationError as exc:
         warnings.append(f"ordering: {exc}")
-    return CohortReport(results, tables, ordering, warnings, _boxplot_rows(pooled))
-
-
-def _boxplot_rows(pooled: dict[str, RegionSamples]) -> list[dict]:
-    """Plot-ready quartiles and 98%-CI whiskers per region of each pooled
-    group: the whole cohort ("all") and each response group (PR, non-PR)."""
-    rows = []
-    for group, samples in pooled.items():
-        for region in REGIONS:
-            values = samples.samples[region]
-            if values.size < 2:
-                continue
-            rows.append({"group": group, "region": region,
-                         **boxplot_row(values, summarize(values))})
-    return rows
-
-
-def boxplot_row(values: np.ndarray, stats: SummaryStats) -> dict:
-    """Box-plot entry of one region's samples (at least two): n, mean,
-    median, quartiles and the 98% normal-CI whiskers of the mean, as
-    Python ints and floats."""
-    whiskers = normal_ci(stats, 0.98)
-    q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-    return {"n": stats.n, "mean": stats.mean, "median": float(med),
-            "q1": float(q1), "q3": float(q3),
-            "whisker_lo98": whiskers.lo, "whisker_hi98": whiskers.hi}
+    boxplot = [row for group, p in pooled.items()
+               for row in boxplot_rows(p, summaries[group], group=group)]
+    return CohortReport(results, tables, ordering, warnings, boxplot)
 
 
 def _recist(path, token: str) -> RecistLabel:

@@ -75,9 +75,6 @@ class RegionSamples:
         arr = self.samples[region]
         return float(arr.mean()) if arr.size else None
 
-    def empty_regions(self) -> list[str]:
-        return [r for r in REGIONS if self.samples[r].size == 0]
-
 
 def jacobian_map(disp: VectorField) -> JacobianMap:
     """Determinant of the 3x3 derivative of phi(z) = z - g(z) at each voxel.

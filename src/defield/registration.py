@@ -239,7 +239,7 @@ def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
 
 
 class _LevelState:
-    """Velocity plus its exponentials, warped images and symmetric energy
+    """Velocity plus its exponentials, warped source and symmetric energy
     at one level; the local statistics are kept only until the update
     direction is built from them. `fwd_in` and `bwd_in` are the level's
     (moving, eps_moving, fixed stats, eps_fixed) for each half. The
@@ -260,7 +260,7 @@ class _LevelState:
 
         backward = pool.submit(half, -v, *bwd_in)
         self.fwd, self.warped_src, e_f, self._stats_f = half(v, *fwd_in)
-        self.bwd, self.warped_tgt, e_b, self._stats_b = backward.result()
+        self.bwd, _, e_b, self._stats_b = backward.result()
         self.energy = 0.5 * (e_f + e_b)
         self._direction = None
 
@@ -323,7 +323,7 @@ def register(source: Volume, target: Volume,
             if state is None:
                 v = np.zeros((3, *geom.dims), dtype=np.float32)
             else:
-                v = upsample_field(VectorField(prev_geom, state.v), geom).data.copy()
+                v = upsample_field(VectorField(prev_geom, state.v), geom).data
             prev_geom = geom
 
             s_arr = src_l.data

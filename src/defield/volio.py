@@ -15,6 +15,7 @@ formatting), so write -> read -> write is byte-identical.
 """
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -79,12 +80,11 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """A header line, then each row's fields written with str() and joined
-    by commas; LF line ends."""
-    with open(path, "w", newline="\n") as fh:
+    """A header line, then the rows through csv.writer: str() of each field,
+    None as an empty field, quotes where a field needs them; LF line ends."""
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _parse_header(path, raw: bytes):

@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: subcommands, config handling, error records,
 and idempotent artifacts."""
+import csv
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from defield import cli, cohort, volio
+from defield import cli, cohort, defanalysis, volio
 from defield.cli import (
     COMMAND_KEYS,
     EXIT_FORMAT,
@@ -276,6 +279,20 @@ def test_classify_empty_masks_warns_but_succeeds(tmp_path, capsys):
     assert "insufficient region" in captured
 
 
+def test_decisions_csv_quotes_notes_with_commas(tmp_path, monkeypatch):
+    # a degenerate patient's note names "mu_R, mu_G": it stays one field
+    weeks = [cohort.WeekEntry(k, f"w{k}.vol", f"m{k}.vol") for k in range(2)]
+    samples = defanalysis.RegionSamples({"U": [0.9, 1.1], "N": [1.0, 1.2]})
+    record = cohort.PatientRecord("p0", weeks, cohort.RecistLabel.PR, [samples])
+    monkeypatch.setattr(cli, "load_manifest", lambda path: [record])
+    assert main(["classify", "--manifest", "unused.csv", "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "decisions.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] == [13]
+    note = "degenerate: delineations unchanged across pairs; mu_R, mu_G imputed as 1.0"
+    assert rows[0][-1] == f"{note}; {note}"
+
+
 @pytest.mark.parametrize("case, workers", [
     pytest.param("constant", "1", id="1"),
     pytest.param("constant", "2", id="2"),
@@ -478,6 +495,38 @@ def test_out_through_a_file_is_missing_input(phantom_dir, pair_dir, tmp_path,
     assert record["message"] == expected
     assert os.listdir(tmp_path) == ["afile"]
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, work", [("register", "register"),
+                                           ("classify", "run_cohort")])
+def test_empty_out_is_missing_input(phantom_dir, tmp_path, capsys, monkeypatch,
+                                    command, work):
+    # an empty --out (an unset shell variable) fails before any work
+    called = []
+    monkeypatch.setattr(cli, work, lambda *args: called.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(phantom=phantom_dir) for a in OUT_ARGV[command]]
+    code = main(argv + ["--out", ""])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert called == []
+    assert code == EXIT_MISSING_INPUT
+    assert record == {"error": "missing-input", "input": "",
+                      "message": "[Errno 2] --out is empty: ''"}
+    assert os.listdir(tmp_path) == []
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is a heavy import that would add to every command's start
+    # time and peak memory; checked in a fresh interpreter, because the
+    # oracle tests import scipy.stats into this one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, defield.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_malformed_vol_error_record(tmp_path, capsys):

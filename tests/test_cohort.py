@@ -24,6 +24,7 @@ from defield.cohort import (
     pair_samples,
     population_ordering,
     region_means,
+    region_summaries,
     reproduce_from_fixture,
     run_cohort,
     tabulate,
@@ -166,7 +167,7 @@ class TestMetrics:
 class TestPopulationOrdering:
     def test_identical_regions_give_zero_t(self):
         samples = RegionSamples({r: np.linspace(0.9, 1.1, 50) for r in "URGN"})
-        result = population_ordering(samples)
+        result = population_ordering(region_summaries(samples))
         for x in "URGN":
             for y in "URGN":
                 if x != y:
@@ -178,7 +179,7 @@ class TestPopulationOrdering:
         centers = {"N": 0.97, "R": 0.99, "G": 1.02, "U": 1.05}
         samples = RegionSamples({
             r: rng.normal(centers[r], 0.01, size=4000) for r in centers})
-        result = population_ordering(samples)
+        result = population_ordering(region_summaries(samples))
         assert result.order == ["N", "R", "G", "U"]
         assert result.t_stats["R"]["G"] < 0 < result.t_stats["R"]["N"]
 
@@ -186,7 +187,7 @@ class TestPopulationOrdering:
         rng = np.random.default_rng(3)
         samples = RegionSamples({
             r: rng.uniform(0.9, 1.1, size=rng.integers(50, 200)) for r in "URGN"})
-        result = population_ordering(samples)
+        result = population_ordering(region_summaries(samples))
         for x in "URGN":
             for y in "URGN":
                 if x != y:
@@ -195,7 +196,7 @@ class TestPopulationOrdering:
     def test_empty_region_rejected(self):
         samples = RegionSamples({"U": [1.0], "R": [], "G": [1.0], "N": [1.0]})
         with pytest.raises(ValidationError):
-            population_ordering(samples)
+            population_ordering(region_summaries(samples))
 
 
 def write_week(tmp_path, name, volume, mask):
@@ -370,6 +371,34 @@ def test_run_cohort_pools_the_whole_cohort_once(monkeypatch):
     assert sizes.count(3 + 2 + 3) == 1
     assert report.ordering is not None
     assert [row["group"] for row in report.boxplot].count("all") == len(REGIONS)
+
+
+def test_run_cohort_summarizes_each_pooled_region_once(monkeypatch):
+    # the population ordering and the box plots read one summary per
+    # non-empty region of each pooled group (all, PR, non-PR)
+    rng = np.random.default_rng(9)
+    sizes = {"p0": {"U": 11, "R": 12, "G": 0, "N": 14},
+             "p1": {"U": 21, "R": 22, "G": 23, "N": 24}}
+    records = [PatientRecord(pid, [WeekEntry(k, f"week{k}.vol", f"mask{k}.vol")
+                                   for k in range(2)], RecistLabel(label),
+                             [RegionSamples({r: rng.normal(1.0, 0.05, n)
+                                             for r, n in sizes[pid].items()})])
+               for pid, label in (("p0", "PR"), ("p1", "PD"))]
+    summarized = []
+    real_summarize = cohort.summarize
+
+    def counted(values):
+        summarized.append(len(values))
+        return real_summarize(values)
+
+    monkeypatch.setattr(cohort, "summarize", counted)
+    report = run_cohort(records)
+    pooled_sizes = [n for n in sizes["p0"].values() if n]
+    pooled_sizes += list(sizes["p1"].values())
+    pooled_sizes += [a + b for a, b in zip(sizes["p0"].values(), sizes["p1"].values())]
+    assert sorted(summarized) == sorted(pooled_sizes)
+    assert report.ordering is not None
+    assert len(report.boxplot) == len(pooled_sizes)
 
 
 def test_week_limit_pools_pairs_by_week_number():

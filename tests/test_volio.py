@@ -137,3 +137,9 @@ def test_duplicate_header_key(tmp_path):
         b"DTYPE uint8\n\n" + bytes(16))
     with pytest.raises(VolFormatError, match="duplicate header key 'DIMS'"):
         volio.read_raw(path)
+
+
+def test_write_csv_quotes_fields_with_separators(tmp_path):
+    path = tmp_path / "t.csv"
+    volio.write_csv(path, "a,b,c", [["x, y", 1.5, None], ['say "hi"', 2, "z"]])
+    assert path.read_bytes() == b'a,b,c\n"x, y",1.5,\n"say ""hi""",2,z\n'

@@ -20,6 +20,7 @@ pair; register and stats again with their keys from --config files
 of the first shrink patient's weeks 0, 2 and 3 (gapped.csv), whose pair
 2->3 lies outside the first three weeks, with --workers 1 and with
 --workers 2 (one patient whose pairs spread over two processes);
+classify of the stable cohort, whose notes hold commas;
 reproduce-paper; one missing-input error; classify --workers abc; phantom
 with --noise-sd nan and with --recist XX; stats with a directory as
 --config; jacobian with a --field path through a regular file;
@@ -87,6 +88,8 @@ STEPS = [
                          *CLASSIFY_PARAMS]),
     ("classify-gapped-w2", ["classify", "--manifest", "gapped.csv",
                             "--out", "cls-gap-w2", "--workers", "2", *CLASSIFY_PARAMS]),
+    ("classify-stable", ["classify", "--manifest", "stable/manifest.csv",
+                         "--out", "cls-stable", *CLASSIFY_PARAMS]),
     ("reproduce-paper", ["reproduce-paper", "--out", "paper"]),
     ("missing-input", ["jacobian", "--field", "absent.vol", "--out", "none"]),
     ("workers-abc", ["classify", "--manifest", "cohort.csv", "--out", "bad",
