@@ -185,8 +185,9 @@ def cmd_register(args) -> int:
     cfg = _config_from_args(args)
     source = volio.read_volume(args.source)
     target = volio.read_volume(args.target)
-    transform, trace = register(source, target, cfg.registration_params())
-    save_transform(_outdir(args), transform, cfg.registration_params(), trace)
+    params = cfg.registration_params()
+    transform, trace = register(source, target, params)
+    save_transform(_outdir(args), transform, params, trace)
     print(f"registered {args.source} -> {args.target}: "
           f"max |g| = {transform.forward.max_norm():.3f} voxels, "
           f"artifacts in {args.out}")
@@ -272,12 +273,19 @@ def cmd_classify(args) -> int:
     records = load_manifest(args.manifest)
     report = run_cohort(records, cfg.registration_params(), cfg.workers)
     out = _outdir(args)
-    payload = report.as_dict()
+    splits = {}
     for name, id_csv in (("population", cfg.population_ids),
                          ("test", cfg.test_ids)):
         if id_csv:
-            split = _split_report(report, set(id_csv.split(",")))
-            payload.setdefault("splits", {})[name] = split
+            ids = set(id_csv.split(","))
+            unknown = ids - {p.patient_id for p in report.patients}
+            if unknown:
+                report.warnings.append(f"{name} split: ids not in the manifest: "
+                                       + ", ".join(map(repr, sorted(unknown))))
+            splits[name] = _split_report(report, ids)
+    payload = report.as_dict()
+    if splits:
+        payload["splits"] = splits
     volio.write_json(os.path.join(out, "report.json"), payload)
     rows = []
     for p in report.patients:
@@ -285,7 +293,7 @@ def cmd_classify(args) -> int:
                p.decisions["all"].value, p.decisions["3"].value]
         for limit in WEEK_LIMITS:
             m = p.means[limit]
-            row += ["" if v is None else v for v in (m.mu_R, m.mu_G, m.mu_U, m.mu_N)]
+            row += [m.mu_R, m.mu_G, m.mu_U, m.mu_N]
         row.append("; ".join(m.note for m in p.means.values() if m.note))
         rows.append(row)
     write_csv(os.path.join(out, "decisions.csv"),

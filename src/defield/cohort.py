@@ -414,22 +414,29 @@ def _recist(path, token: str) -> RecistLabel:
         raise ValidationError(f"{path}: unknown RECIST label {token!r}") from None
 
 
-def _read_table(path, what: str, required: set[str]) -> list[dict]:
+def _read_table(path, what: str, required: set[str],
+                unique: str | None = None) -> list[dict]:
     """Rows of a UTF-8 CSV table with a header line (a leading byte-order
-    mark is skipped) that has the required columns, at least one row, and
-    every row as long as its header."""
+    mark is skipped) that has the required columns, at least one row,
+    every row as long as its header and, when `unique` names a column, no
+    value of that column twice."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValidationError(
                     f"{path}: {what} must have columns {sorted(required)}")
-            rows = []
+            rows, seen = [], set()
             for row in reader:
                 if None in row or None in row.values():
                     raise ValidationError(
                         f"{path}:{reader.line_num}: {what} row has "
                         f"{'more' if None in row else 'fewer'} fields than the header")
+                if unique is not None:
+                    if row[unique] in seen:
+                        raise ValidationError(f"{path}:{reader.line_num}: {what} "
+                                              f"repeats {unique} {row[unique]!r}")
+                    seen.add(row[unique])
                 rows.append(row)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: {what} is not UTF-8: {exc}") from None
@@ -508,7 +515,7 @@ def load_fixture(path=None) -> list[PatientResult]:
                           decisions={"all": as_decision(row["classification_full"]),
                                      "3": as_decision(row["classification_3w"])},
                           recist=_recist(path, row["rx_response"]))
-            for row in _read_table(path, "fixture", required)]
+            for row in _read_table(path, "fixture", required, unique="patient_id")]
 
 
 @dataclass

@@ -85,11 +85,10 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
     if any(d < 3 for d in disp.geometry.dims):
         raise ValidationError(
             f"jacobian_map needs dims >= 3, got {disp.geometry.dims}")
-    g = disp.data.astype(np.float64)
     # m[k][l] = d(phi_k)/d(z_l) = delta_kl - d(g_k)/d(z_l)
     m = [[None] * 3 for _ in range(3)]
     for k in range(3):
-        grads = np.gradient(g[k], axis=(0, 1, 2))
+        grads = np.gradient(disp.data[k].astype(np.float64), axis=(0, 1, 2))
         for l in range(3):
             m[k][l] = (1.0 if k == l else 0.0) - grads[l]
     det = (
@@ -97,7 +96,7 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    return JacobianMap(disp.geometry, det.astype(np.float32))
+    return JacobianMap(disp.geometry, det)
 
 
 def partition_regions(tumor_warped: Mask, tumor_next: Mask,
@@ -129,7 +128,7 @@ def collect_samples(jmap: JacobianMap, part: RegionPartition) -> RegionSamples:
     """
     require_same_geometry(jmap, part)
     sl = _interior(jmap.geometry.dims)
-    values = jmap.data[sl].astype(np.float64)
+    values = jmap.data[sl]
     labels = part.labels[sl]
     return RegionSamples({r: values[labels == _CODE[r]] for r in REGIONS})
 

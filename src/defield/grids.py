@@ -46,6 +46,9 @@ class GridGeometry:
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if any(d < 2 for d in self.dims):
             raise ValidationError(f"all dims must be >= 2, got {self.dims}")
+        if not all(map(math.isfinite, self.spacing + self.origin)):
+            raise ValidationError(f"spacing and origin must be finite, got "
+                                  f"{self.spacing} and {self.origin}")
         if any(s <= 0 for s in self.spacing):
             raise ValidationError(f"all spacings must be > 0, got {self.spacing}")
 

@@ -138,8 +138,7 @@ def pullback(rm: RadialMap, center,
     scale = np.ones_like(r)
     nonzero = r > 1e-12
     scale[nonzero] = 1.0 - rinv[nonzero] / r[nonzero]
-    jac = (1.0 / rm.jacobian(rinv)).astype(np.float32)
-    return VectorField(grid, (offsets * scale).astype(np.float32)), JacobianMap(grid, jac)
+    return VectorField(grid, offsets * scale), JacobianMap(grid, 1.0 / rm.jacobian(rinv))
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def blob_volume(grid: GridGeometry, center, radius: float,
     rng = np.random.default_rng((seed, 0))
     tex = _smooth_array(rng.standard_normal(grid.dims), _TEXTURE_SIGMA)
     img = img + _TEXTURE_AMPLITUDE * tex / tex.std()
-    return Volume(grid, img.astype(np.float32))
+    return Volume(grid, img)
 
 
 def _delineation_mask(grid: GridGeometry, center, radius: float,
@@ -262,7 +261,7 @@ def _delineation_mask(grid: GridGeometry, center, radius: float,
             cosang = np.einsum("c,cxyz->xyz", direction, offsets) / safe_r
             notch = (cosang > _NOTCH_COS) & (r > radius - _NOTCH_DEPTH)
             inside &= ~notch
-    return Mask(grid, inside.astype(np.uint8))
+    return Mask(grid, inside)
 
 
 def synth_course(spec: PhantomSpec) -> SyntheticCourse:

@@ -62,7 +62,6 @@ import numpy as np
 
 from . import volio
 from .grids import (
-    GridGeometry,
     ValidationError,
     VectorField,
     Volume,
@@ -127,10 +126,6 @@ class SymmetricTransform:
     def __post_init__(self):
         require_same_geometry(self.velocity, self.forward)
         require_same_geometry(self.velocity, self.backward)
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return self.velocity.geometry
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,7 @@ def _lcc_force(stats, sigma) -> np.ndarray:
     np.divide(a * a, b * b * c, out=r2, where=valid)
     k = 2.0 * (fbar * _smooth_array(r1, sigma) - mbar * _smooth_array(r2, sigma))
     grads = np.gradient(mbar, axis=(0, 1, 2))
-    return np.stack([(-k * grads[axis]).astype(np.float32) for axis in range(3)])
+    return np.stack([-k * grads[axis] for axis in range(3)])
 
 
 def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
@@ -277,7 +272,7 @@ class _LevelState:
 
 
 def _exp_array(v: np.ndarray, steps: int) -> np.ndarray:
-    d = (v / float(2 ** steps)).astype(np.float32)
+    d = v / float(2 ** steps)
     for _ in range(steps):
         d = _compose_arrays(d, d)
     return d
@@ -304,21 +299,17 @@ def register(source: Volume, target: Volume,
             raise ValidationError(
                 f"{name} volume is constant: local correlation is undefined")
 
-    pyr_src = [source]
-    pyr_tgt = [target]
-    while (len(pyr_src) < params.pyramid_levels
-           and all(d >= 8 for d in pyr_src[-1].geometry.dims)):
-        pyr_src.append(downsample2(pyr_src[-1]))
-        pyr_tgt.append(downsample2(pyr_tgt[-1]))
-    pyr_src.reverse()
-    pyr_tgt.reverse()
+    pyramid = [(source, target)]
+    while (len(pyramid) < params.pyramid_levels
+           and all(d >= 8 for d in pyramid[-1][0].geometry.dims)):
+        pyramid.append(tuple(downsample2(vol) for vol in pyramid[-1]))
 
     sigma = params.lcc_sigma
     trace = ConvergenceTrace()
     state = None
     # one helper thread per call, joined before return (see module docstring)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for level, (src_l, tgt_l) in enumerate(zip(pyr_src, pyr_tgt)):
+        for level, (src_l, tgt_l) in enumerate(reversed(pyramid)):
             geom = src_l.geometry
             if state is None:
                 v = np.zeros((3, *geom.dims), dtype=np.float32)
@@ -350,7 +341,7 @@ def register(source: Volume, target: Volume,
                 if dmax < 1e-12:
                     break
                 v_cand = _smooth_field_array(state.v + d * (step / dmax),
-                                             params.diffusion_sigma).astype(np.float32)
+                                             params.diffusion_sigma)
                 cand = _LevelState(v_cand, fwd_in, bwd_in, params, pool)
                 accepted = cand.energy >= state.energy - 1e-12
                 trace.append(TraceEntry(level, iteration,
@@ -367,6 +358,7 @@ def register(source: Volume, target: Volume,
                     if rejected is not None and cand.energy <= rejected:
                         break
                     rejected = cand.energy
+                    del cand  # free its arrays before the next candidate is built
                     step *= 0.5
                     if step < MIN_STEP_FRACTION * params.step_scale:
                         break

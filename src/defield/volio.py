@@ -50,7 +50,7 @@ def _write(path, geometry, dtype: str, components: int | None, arr) -> None:
     """Header, then arr cast to the little-endian DTYPE in x-fastest order."""
     with open(path, "wb") as fh:
         fh.write(_header(geometry, dtype, components))
-        fh.write(np.asarray(arr).astype(_DTYPES[dtype]).ravel(order="F").tobytes())
+        fh.write(np.asarray(arr, dtype=_DTYPES[dtype]).tobytes(order="F"))
 
 
 def write_volume(path, vol: Volume) -> None:

@@ -246,6 +246,10 @@ def test_classify_pipeline(phantom_dir, tmp_path, capsys):
     assert sorted(report["splits"]) == ["population", "test"]
     for split in report["splits"].values():
         assert split["n"] == 1 and set(split) == {"n", "all", "3"}
+    # an id the manifest lacks is tolerated, and named
+    warning = "test split: ids not in the manifest: 'zz'"
+    assert report["warnings"][-1] == warning
+    assert f"warning: {warning}\n" in capsys.readouterr().out
     assert (out / "decisions.csv").exists()
     # shrink-mode phantom patients labeled PR: hypothesis satisfied
     assert report["contingency"]["all"][0] >= 1
@@ -404,6 +408,20 @@ def test_bad_table_value_is_invalid_input(tmp_path, capsys, command, text, messa
     assert code == EXIT_INVALID
     assert error == {"error": "invalid-input", "message": f"{table}: {message}"}
     assert not (tmp_path / "out").exists()
+
+
+def test_repeated_fixture_patient_is_invalid_input(tmp_path, capsys):
+    from defield.cohort import fixture_path
+    fixture = tmp_path / "fixture.csv"
+    with open(fixture_path()) as fh:
+        fixture.write_text(fh.read() + "1,Y,Y,PR\n")
+    out = tmp_path / "out"
+    code = main(["reproduce-paper", "--fixture", str(fixture), "--out", str(out)])
+    error = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert error == {"error": "invalid-input",
+                     "message": f"{fixture}:47: fixture repeats patient_id '1'"}
+    assert not out.exists()
 
 
 def test_missing_input_error_record(tmp_path, capsys):
@@ -567,6 +585,12 @@ MALFORMED_VOL = [
      float(np.frombuffer(b"\n\n\n\n", dtype="<f4")[0]), "CRLF"),
     ("negative-spacing",
      lambda raw: raw.replace(b"SPACING 1.0 1.0 1.0", b"SPACING 1.0 -1.0 1.0"), 1.0,
+     "bad geometry"),
+    ("nan-spacing",
+     lambda raw: raw.replace(b"SPACING 1.0 1.0 1.0", b"SPACING nan 1.0 1.0"), 1.0,
+     "bad geometry"),
+    ("inf-origin",
+     lambda raw: raw.replace(b"ORIGIN 0.0 0.0 0.0", b"ORIGIN 0.0 inf 0.0"), 1.0,
      "bad geometry"),
     ("huge-dims",
      lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 100000 100000 100000"), 1.0,

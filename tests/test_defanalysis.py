@@ -1,4 +1,6 @@
 """Jacobian maps, region partitions, sample collection and pooling."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,19 @@ def test_samples_csv_roundtrip_byte_identical(tmp_path):
         assert np.array_equal(back.samples[region], s.samples[region])
     write_samples_csv(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_jacobian_map_peak_memory_per_voxel():
+    """jacobian_map widens one field component at a time and leaves the
+    float32 conversion of its determinant to JacobianMap: at most 130
+    bytes per voxel above its input."""
+    g = GridGeometry((32, 32, 32))
+    field, _ = radial_gaussian_field((15.5, 15.5, 15.5), 0.3, 5.0, g)
+    tracemalloc.start()
+    try:
+        jm = jacobian_map(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jm.data.dtype == np.float32
+    assert peak / g.n_voxels <= 130

@@ -1,4 +1,5 @@
 """Container invariants and the resampling/smoothing primitives."""
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,11 @@ class TestContainers:
             GridGeometry((1, 8, 8))
         with pytest.raises(ValidationError):
             GridGeometry((8, 8, 8), spacing=(0.0, 1.0, 1.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                GridGeometry((8, 8, 8), spacing=(bad, 1.0, 1.0))
+            with pytest.raises(ValidationError, match="finite"):
+                GridGeometry((8, 8, 8), origin=(0.0, 0.0, bad))
 
     def test_volume_rejects_bad_data(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,3 +569,44 @@ def test_identity_fallback_is_reported(monkeypatch, tmp_path):
         assert not getattr(transform, name).data.any()
     save_transform(tmp_path, transform, params, trace)
     assert _read_sidecar(tmp_path)[2] is True
+
+
+def test_registration_arrays_stay_float32(monkeypatch):
+    """The containers own dtype conversion, so registration casts nothing:
+    its exponentials, forces, velocities and warped images are float32
+    because their float32 inputs keep them so."""
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(3, 12, 12, 12)).astype(np.float32)
+    assert registration._exp_array(v, 2).dtype == np.float32
+    fixed = rng.normal(size=(12, 12, 12)).astype(np.float32)
+    moving = rng.normal(size=(12, 12, 12)).astype(np.float32)
+    _, stats = registration._lcc(moving, 1e-6, registration._fixed_stats(fixed, 2.0),
+                                 1e-6, 2.0)
+    assert registration._lcc_force(stats, 2.0).dtype == np.float32
+
+    dtypes = set()
+
+    class Recorded(registration._LevelState):
+        def __init__(self, v, *args):
+            super().__init__(v, *args)
+            dtypes.update(a.dtype for a in (v, self.fwd, self.bwd, self.warped_src))
+
+    monkeypatch.setattr(registration, "_LevelState", Recorded)
+    _, trace = register(*_small_pair(31), SMALL_PARAMS)
+    assert len(trace.entries) > 1 and dtypes == {np.dtype(np.float32)}
+
+
+def test_register_peak_memory_per_voxel():
+    """One register on a 32^3 phantom pair allocates at most 240 bytes per
+    voxel at its tracemalloc peak: a rejected candidate is freed before the
+    next one is built."""
+    grid = GridGeometry((32, 32, 32))
+    weeks = synth_cohort(PhantomSpec(grid=grid, radius=6.0, seed=7), 1)[0].weeks
+    tracemalloc.start()
+    try:
+        _, trace = register(weeks[0].volume, weeks[1].volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(not e.accepted for e in trace.entries)
+    assert peak / grid.n_voxels <= 240

@@ -24,9 +24,12 @@ classify of the stable cohort, whose notes hold commas;
 reproduce-paper; one missing-input error; classify --workers abc; phantom
 with --noise-sd nan and with --recist XX; stats with a directory as
 --config; jacobian with a --field path through a regular file;
-reproduce-paper and classify with a regular file as --out, and
+reproduce-paper and classify with a regular file as --out,
 reproduce-paper with a --fixture whose patients all have the NA response
-(na-only.csv, written next to the config files).
+(na-only.csv, written next to the config files), jacobian of a 4^3 zero
+field whose header says SPACING nan (nan-spacing.vol), reproduce-paper
+with a --fixture that repeats a patient id (duplicate-id.csv), and
+classify with a population split that names an id the manifest lacks.
 Each step prints digests of its exit code, stdout and stderr; after the
 steps, each file under WORKDIR gets one line.
 Standard library only.
@@ -54,6 +57,10 @@ INPUT_FILES = {
                    + "".join(f"p00,{w},shrink/p00/week{w:02d}_vol.vol,"
                              f"shrink/p00/week{w:02d}_mask.vol,PR\n"
                              for w in (0, 2, 3))),
+    "nan-spacing.vol": ("DIMS 4 4 4\nSPACING nan 1.0 1.0\nORIGIN 0.0 0.0 0.0\n"
+                        "DTYPE float32-le\nCOMPONENTS 3\n\n" + "\0" * 768),
+    "duplicate-id.csv": ("patient_id,classification_full,classification_3w,rx_response\n"
+                         "q1,Y,Y,PR\nq2,N,N,SD\nq1,Y,Y,PR\n"),
 }
 
 STEPS = [
@@ -107,6 +114,13 @@ STEPS = [
                               "--out", "classify.cfg", *CLASSIFY_PARAMS]),
     ("fixture-na-only", ["reproduce-paper", "--fixture", "na-only.csv",
                          "--out", "paper-na"]),
+    ("jacobian-nan-spacing", ["jacobian", "--field", "nan-spacing.vol",
+                              "--out", "jac-nan"]),
+    ("fixture-duplicate-id", ["reproduce-paper", "--fixture", "duplicate-id.csv",
+                              "--out", "paper-dup"]),
+    ("classify-split-unknown", ["classify", "--manifest", "cohort.csv",
+                                "--out", "cls-unknown", "--population-ids", "s_p00,zz",
+                                *CLASSIFY_PARAMS]),
 ]
 
 
