@@ -28,6 +28,7 @@ from .grids import (
 LABEL_N, LABEL_U, LABEL_R, LABEL_G = 0, 1, 2, 3
 REGIONS = ("U", "R", "G", "N")
 _CODE = {"N": LABEL_N, "U": LABEL_U, "R": LABEL_R, "G": LABEL_G}
+SLAB_PLANES = 8  # x-planes per jacobian_map slab: bounds its float64 temporaries
 
 
 class JacobianMap(Volume):
@@ -80,22 +81,29 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
     """Determinant of the 3x3 derivative of phi(z) = z - g(z) at each voxel.
 
     Central differences at interior voxels, one-sided at faces. A zero
-    field yields J = 1 everywhere.
+    field yields J = 1 everywhere. The differences are local, so the map is
+    built in x-slabs of SLAB_PLANES planes with a one-plane halo, bit for
+    bit equal to the whole-grid computation.
     """
-    if any(d < 3 for d in disp.geometry.dims):
-        raise ValidationError(
-            f"jacobian_map needs dims >= 3, got {disp.geometry.dims}")
-    # m[k][l] = d(phi_k)/d(z_l) = delta_kl - d(g_k)/d(z_l)
-    m = [[None] * 3 for _ in range(3)]
-    for k in range(3):
-        grads = np.gradient(disp.data[k].astype(np.float64), axis=(0, 1, 2))
-        for l in range(3):
-            m[k][l] = (1.0 if k == l else 0.0) - grads[l]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    dims = disp.geometry.dims
+    if any(d < 3 for d in dims):
+        raise ValidationError(f"jacobian_map needs dims >= 3, got {dims}")
+    det = np.empty(dims)
+    for x0 in range(0, dims[0], SLAB_PLANES):
+        x1 = min(x0 + SLAB_PLANES, dims[0])
+        lo = max(x0 - 1, 0)
+        # m[k][l] = d(phi_k)/d(z_l) = delta_kl - d(g_k)/d(z_l)
+        m = [[None] * 3 for _ in range(3)]
+        for k in range(3):
+            slab = disp.data[k, lo:x1 + 1].astype(np.float64)
+            grads = np.gradient(slab, axis=(0, 1, 2))
+            for l in range(3):
+                m[k][l] = (1.0 if k == l else 0.0) - grads[l][x0 - lo:x1 - lo]
+        det[x0:x1] = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
     return JacobianMap(disp.geometry, det)
 
 

@@ -38,6 +38,24 @@ def radial_gaussian_field(center, amplitude: float, width: float,
     return VectorField(grid, disp), JacobianMap(grid, jac)
 
 
+def whole_grid_jacobian(disp: VectorField) -> np.ndarray:
+    """float64 Jacobian determinant of phi(z) = z - g(z) over the whole grid
+    at once: np.gradient of each widened field component, then the 3x3
+    cofactor expansion. The reference that slabbed computations must match
+    bit for bit.
+    """
+    m = [[None] * 3 for _ in range(3)]
+    for k in range(3):
+        grads = np.gradient(disp.data[k].astype(np.float64), axis=(0, 1, 2))
+        for l in range(3):
+            m[k][l] = (1.0 if k == l else 0.0) - grads[l]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def mean_norm(field: VectorField) -> float:
     """Mean vector length of a field, in float64."""
     return float(np.sqrt((field.data.astype(np.float64) ** 2).sum(axis=0)).mean())

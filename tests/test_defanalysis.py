@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defield import defanalysis
 from defield.defanalysis import (
     LABEL_G,
     LABEL_N,
@@ -24,9 +25,10 @@ from defield.grids import (
     Mask,
     ValidationError,
     VectorField,
+    gaussian_smooth,
 )
 from defield.registration import compose
-from oracles import radial_gaussian_field
+from oracles import radial_gaussian_field, whole_grid_jacobian
 
 G12 = GridGeometry((12, 12, 12))
 INTERIOR = (slice(1, -1),) * 3
@@ -92,6 +94,31 @@ class TestJacobianMap:
         data = np.stack([x * x / 64, np.zeros_like(x), np.zeros_like(x)])
         jm = jacobian_map(VectorField(G12, data))
         assert jm.data[4, 4, 4] == pytest.approx(0.875)
+
+
+# nx below, equal to, one above and not a multiple of the slab thickness
+SLAB_DIMS = [(3, 3, 3), (7, 5, 4), (8, 6, 5), (9, 6, 5), (17, 9, 6), (33, 10, 7)]
+
+
+@pytest.mark.parametrize("kind", ["smoothed-random", "radial"])
+@pytest.mark.parametrize("dims", SLAB_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_slabbed_jacobian_matches_whole_grid_bitwise(dims, kind, monkeypatch):
+    g = GridGeometry(dims)
+    if kind == "radial":
+        field, _ = radial_gaussian_field(tuple((d - 1) / 2 for d in dims), 0.3,
+                                         max(dims) / 3, g)
+    else:
+        rng = np.random.default_rng(sum(dims))
+        field = gaussian_smooth(
+            VectorField(g, rng.normal(0.0, 2.0, (3, *dims))), 1.0)
+    ref = whole_grid_jacobian(field)
+    # the float64 determinant handed to JacobianMap, before its float32 cast
+    handed = []
+    monkeypatch.setattr(defanalysis, "JacobianMap", lambda geometry, det: (
+        handed.append(det) or JacobianMap(geometry, det)))
+    jm = jacobian_map(field)
+    assert handed[0].tobytes() == ref.tobytes()
+    assert jm.data.tobytes() == JacobianMap(g, ref).data.tobytes()
 
 
 def box_mask(geometry, lo, hi):
@@ -241,12 +268,15 @@ def test_samples_csv_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_jacobian_map_peak_memory_per_voxel():
-    """jacobian_map widens one field component at a time and leaves the
-    float32 conversion of its determinant to JacobianMap: at most 130
-    bytes per voxel above its input."""
-    g = GridGeometry((32, 32, 32))
-    field, _ = radial_gaussian_field((15.5, 15.5, 15.5), 0.3, 5.0, g)
+@pytest.mark.parametrize("n, bound", [(32, 60), (64, 35)], ids=["32", "64"])
+def test_jacobian_map_peak_memory_per_voxel(n, bound):
+    """jacobian_map widens one x-slab of one field component at a time and
+    leaves the float32 conversion of its determinant to JacobianMap: the
+    whole-grid float64 determinant and its copy (12 B/voxel) plus
+    slab temporaries, which weigh less per voxel on a longer grid."""
+    g = GridGeometry((n, n, n))
+    c = (n - 1) / 2
+    field, _ = radial_gaussian_field((c, c, c), 0.3, 5.0 * n / 32, g)
     tracemalloc.start()
     try:
         jm = jacobian_map(field)
@@ -254,4 +284,4 @@ def test_jacobian_map_peak_memory_per_voxel():
     finally:
         tracemalloc.stop()
     assert jm.data.dtype == np.float32
-    assert peak / g.n_voxels <= 130
+    assert peak / g.n_voxels <= bound

@@ -29,7 +29,9 @@ reproduce-paper with a --fixture whose patients all have the NA response
 (na-only.csv, written next to the config files), jacobian of a 4^3 zero
 field whose header says SPACING nan (nan-spacing.vol), reproduce-paper
 with a --fixture that repeats a patient id (duplicate-id.csv), and
-classify with a population split that names an id the manifest lacks.
+classify with a population split that names an id the manifest lacks,
+and a one-patient 21^3 phantom with jacobian of its ground-truth field
+(21 x-planes end jacobian_map's slabs with a partial one).
 Each step prints digests of its exit code, stdout and stderr; after the
 steps, each file under WORKDIR gets one line.
 Standard library only.
@@ -121,6 +123,10 @@ STEPS = [
     ("classify-split-unknown", ["classify", "--manifest", "cohort.csv",
                                 "--out", "cls-unknown", "--population-ids", "s_p00,zz",
                                 *CLASSIFY_PARAMS]),
+    ("phantom-grid21", ["phantom", "--out", "g21", "--grid", "21", "--radius", "6",
+                        "--patients", "1", "--weeks", "2"]),
+    ("jacobian-grid21", ["jacobian", "--field", "g21/p00/gt_forward00.vol",
+                         "--out", "jac21"]),
 ]
 
 
