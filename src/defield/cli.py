@@ -18,7 +18,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import defanalysis, volio
 from .cohort import (
@@ -164,7 +164,7 @@ def _display(tab: Tabulation) -> dict[str, str]:
     reproduce-paper show them."""
     orat, pval = tab.fisher
     return {**{name: "" if value is None else f"{value:.1f}"
-               for name, value in asdict(tab.metrics).items()},
+               for name, value in tab.metrics.items()},
             "odds_ratio": f"{orat:.2f}", "p": f"{pval:.3f}"}
 
 
@@ -331,17 +331,17 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    rep = reproduce_from_fixture(load_fixture(args.fixture))
+    tables, payload = reproduce_from_fixture(load_fixture(args.fixture))
     out = _outdir(args)
-    volio.write_json(os.path.join(out, "reproduction.json"), rep.as_dict())
-    _write_tables(os.path.join(out, "tables.csv"), rep.tables)
+    volio.write_json(os.path.join(out, "reproduction.json"), payload)
+    _write_tables(os.path.join(out, "tables.csv"), tables)
     for limit, title in (("all", "full course"), ("3", "first three weeks")):
-        shown = _display(rep.tables[limit])
-        print(f"{title}: contingency {rep.tables[limit].contingency.as_tuple()}, "
+        shown = _display(tables[limit])
+        print(f"{title}: contingency {tables[limit].contingency.as_tuple()}, "
               f"OR = {shown['odds_ratio']}, p = {shown['p']}, "
               f"accuracy {shown['accuracy']}, precision {shown['precision']}, "
               f"recall {shown['recall']}")
-    for flag in rep.flags:
+    for flag in payload["flags"]:
         print("flag:", flag)
     return EXIT_OK
 

@@ -184,34 +184,13 @@ def region_means(samples: list[RegionSamples], weeks: list[int],
                        week_limit, counts, note)
 
 
-def build_contingency(patients, limit: str) -> Contingency2x2:
-    """Rows: hypothesis satisfied / not under the week limit; columns:
-    response group PR / non-PR, over patients (anything with `decisions`
-    and `recist`). NA patients are excluded; errors if nothing remains.
-    """
-    cells = [(p.decisions[limit] == Decision.PR_CLASSIFIED, p.recist.group)
-             for p in patients if p.recist.group is not None]
-    if not cells:
-        raise ValidationError("no patients left after excluding NA responses")
-    return Contingency2x2(*(cells.count((satisfied, group))
-                            for satisfied in (True, False)
-                            for group in ("PR", "non-PR")))
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Accuracy, precision, recall as percentages (None when undefined)."""
-
-    accuracy: float | None
-    precision: float | None
-    recall: float | None
-
-
-def metrics(table: Contingency2x2) -> Metrics:
-    accuracy = 100.0 * (table.a + table.d) / table.total
-    precision = 100.0 * table.a / (table.a + table.b) if table.a + table.b else None
-    recall = 100.0 * table.a / (table.a + table.c) if table.a + table.c else None
-    return Metrics(accuracy, precision, recall)
+def metrics(table: Contingency2x2) -> dict[str, float | None]:
+    """Accuracy, precision and recall as percentages (None when undefined),
+    in tables.csv's column order."""
+    a, b, c, d = table.as_tuple()
+    return {"accuracy": 100.0 * (a + d) / table.total,
+            "precision": 100.0 * a / (a + b) if a + b else None,
+            "recall": 100.0 * a / (a + c) if a + c else None}
 
 
 @dataclass(frozen=True)
@@ -220,19 +199,27 @@ class Tabulation:
     (odds ratio, p)."""
 
     contingency: Contingency2x2
-    metrics: Metrics
+    metrics: dict[str, float | None]
     fisher: tuple[float, float]
 
     def as_dict(self) -> dict:
         return {"contingency": list(self.contingency.as_tuple()),
-                "metrics": asdict(self.metrics),
+                "metrics": self.metrics,
                 "fisher": {"odds_ratio": self.fisher[0], "p": self.fisher[1]}}
 
 
 def tabulate(patients, limit: str) -> Tabulation:
     """Tabulation of the patients' decisions under one week limit against
-    their RECIST labels."""
-    table = build_contingency(patients, limit)
+    their RECIST labels, over patients (anything with `decisions` and
+    `recist`). Rows: hypothesis satisfied / not; columns: response group
+    PR / non-PR. NA patients are excluded; errors if nothing remains."""
+    cells = [(p.decisions[limit] == Decision.PR_CLASSIFIED, p.recist.group)
+             for p in patients if p.recist.group is not None]
+    if not cells:
+        raise ValidationError("no patients left after excluding NA responses")
+    table = Contingency2x2(*(cells.count((satisfied, group))
+                             for satisfied in (True, False)
+                             for group in ("PR", "non-PR")))
     return Tabulation(table, metrics(table), fisher_exact(table))
 
 
@@ -518,40 +505,24 @@ def load_fixture(path=None) -> list[PatientResult]:
             for row in _read_table(path, "fixture", required, unique="patient_id")]
 
 
-@dataclass
-class FixtureReproduction:
-    n_patients: int
-    n_na: int
-    n_pr_or_cr: int
-    tables: dict[str, Tabulation]
-    flags: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "n_na": self.n_na,
-            "n_pr_or_cr": self.n_pr_or_cr,
-            **tables_json(self.tables),
-            "reference_summary": REFERENCE_SUMMARY,
-            "flags": self.flags,
-        }
-
-
-def reproduce_from_fixture(patients: list[PatientResult]) -> FixtureReproduction:
+def reproduce_from_fixture(patients: list[PatientResult]
+                           ) -> tuple[dict[str, Tabulation], dict]:
     """Contingency tables, metrics and Fisher results from the shipped
     per-patient classification fixture, with discrepancies between computed
-    and reference summary values flagged."""
+    and reference summary values flagged. Returns the tables and the
+    reproduction.json payload."""
     tables, errors = tabulate_limits(patients)
     if errors:
         raise ValidationError(next(iter(errors.values())))
     flags = []
     for limit, tab in tables.items():
         ref = REFERENCE_SUMMARY[limit]
-        for name, computed in asdict(tab.metrics).items():
+        for name, computed in tab.metrics.items():
             if computed is not None and abs(computed - ref[name]) > 0.1:
                 flags.append(
                     f"{name} [{limit}]: computed {computed:.1f} differs from "
                     f"reference summary {ref[name]:.1f}")
     groups = [p.recist.group for p in patients]
-    return FixtureReproduction(len(patients), groups.count(None),
-                               groups.count("PR"), tables, flags)
+    return tables, {"n_patients": len(patients), "n_na": groups.count(None),
+                    "n_pr_or_cr": groups.count("PR"), **tables_json(tables),
+                    "reference_summary": REFERENCE_SUMMARY, "flags": flags}

@@ -1,8 +1,10 @@
 """Jacobian-determinant maps and the tumor-region partition.
 
 A displacement field g realizes the mapping phi(z) = z - g(z); the Jacobian
-determinant of phi measures local volume change (1 = none, <1 contraction,
->1 expansion). Comparing the warped previous-week tumor mask against the
+determinant of phi measures local volume change. On a forward field, which
+maps each later-week voxel to where it came from, it is the earlier-week
+volume per unit of later-week volume: 1 where nothing changed, >1 where
+tissue contracted between the weeks, <1 where it expanded. Comparing the warped previous-week tumor mask against the
 next week's delineation splits the grid into unchanged (U), reduced (R),
 newly grown (G) and non-tumor (N) voxels, and Jacobian samples are pooled
 per region for the downstream statistics.

@@ -86,10 +86,6 @@ class Volume:
             self.data, np.float32, self.geometry.dims, type(self).__name__,
             finite=True))
 
-    @staticmethod
-    def full(geometry: GridGeometry, value: float) -> "Volume":
-        return Volume(geometry, np.full(geometry.dims, value, dtype=np.float32))
-
 
 @dataclass(frozen=True)
 class Mask:

@@ -146,7 +146,7 @@ class PhantomSpec:
     """Configuration of a synthetic multi-week patient course."""
 
     grid: GridGeometry
-    radius: float = 12.0           # initial tumor radius, voxels
+    radius: float = None           # initial tumor radius, voxels; None: min(12, 0.3 min dim)
     mode: str = "shrink"           # shrink | grow | stable
     amplitude: float = 1.1         # peak displacement per week, voxels
     noise_sd: float = 0.02
@@ -154,6 +154,9 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
+        if self.radius is None:
+            object.__setattr__(self, "radius",
+                               min(12.0, round(0.3 * min(self.grid.dims), 1)))
         if self.mode not in ("shrink", "grow", "stable"):
             raise ValidationError(f"unknown growth mode {self.mode!r}")
         if self.radius >= min(self.grid.dims) / 3.0:

@@ -2,8 +2,13 @@
 import numpy as np
 
 from defield.defanalysis import JacobianMap
-from defield.grids import GridGeometry, ValidationError, VectorField
+from defield.grids import GridGeometry, ValidationError, VectorField, Volume
 from defield.phantom import RadialComponent, _radius_grid, grid_center
+
+
+def full_volume(geometry: GridGeometry, value: float) -> Volume:
+    """A float32 volume holding one value everywhere."""
+    return Volume(geometry, np.full(geometry.dims, value, dtype=np.float32))
 
 
 def affine_field(a_matrix, b, grid: GridGeometry) -> tuple[VectorField, float]:

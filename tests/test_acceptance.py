@@ -76,24 +76,24 @@ def test_criterion_1_fixture_reproduction(tmp_path, capsys):
         assert "(11, 3, 10, 14)" in out
 
         from defield.cohort import load_fixture, reproduce_from_fixture
-        rep = reproduce_from_fixture(load_fixture())
-        assert rep.tables["all"].contingency.as_tuple() == (12, 4, 9, 13)
-        assert rep.tables["3"].contingency.as_tuple() == (11, 3, 10, 14)
-        or_full, p_full = rep.tables["all"].fisher
-        or_3w, p_3w = rep.tables["3"].fisher
+        tables, payload = reproduce_from_fixture(load_fixture())
+        assert tables["all"].contingency.as_tuple() == (12, 4, 9, 13)
+        assert tables["3"].contingency.as_tuple() == (11, 3, 10, 14)
+        or_full, p_full = tables["all"].fisher
+        or_3w, p_3w = tables["3"].fisher
         assert or_full == pytest.approx(4.33, abs=0.01)
         assert p_full == pytest.approx(0.051, abs=0.005)
         assert or_3w == pytest.approx(5.13, abs=0.01)
         assert p_3w == pytest.approx(0.043, abs=0.005)
-        m_full, m_3w = rep.tables["all"].metrics, rep.tables["3"].metrics
-        assert m_full.precision == pytest.approx(75.0, abs=0.1)
-        assert m_3w.precision == pytest.approx(78.6, abs=0.1)
-        assert m_3w.recall == pytest.approx(52.4, abs=0.1)
-        assert m_full.accuracy == pytest.approx(65.8, abs=0.1)
-        assert m_3w.accuracy == pytest.approx(65.8, abs=0.1)
+        m_full, m_3w = tables["all"].metrics, tables["3"].metrics
+        assert m_full["precision"] == pytest.approx(75.0, abs=0.1)
+        assert m_3w["precision"] == pytest.approx(78.6, abs=0.1)
+        assert m_3w["recall"] == pytest.approx(52.4, abs=0.1)
+        assert m_full["accuracy"] == pytest.approx(65.8, abs=0.1)
+        assert m_3w["accuracy"] == pytest.approx(65.8, abs=0.1)
         # computed full-course recall, with the reference 60.0 flagged
-        assert m_full.recall == pytest.approx(57.1, abs=0.1)
-        assert any("60.0" in f for f in rep.flags)
+        assert m_full["recall"] == pytest.approx(57.1, abs=0.1)
+        assert any("60.0" in f for f in payload["flags"])
         assert elapsed < 1.0
 
 

@@ -24,7 +24,7 @@ from defield.cli import (
     main,
 )
 from defield.grids import GridGeometry, Mask, Volume
-from oracles import mean_norm
+from oracles import full_volume, mean_norm
 
 
 def run(argv, capsys=None):
@@ -559,7 +559,7 @@ def test_malformed_vol_error_record(tmp_path, capsys):
 def test_duplicate_vol_header_key_error_record(tmp_path, capsys):
     g = GridGeometry((4, 4, 4))
     good = tmp_path / "good.vol"
-    volio.write_volume(good, Volume.full(g, 1.0))
+    volio.write_volume(good, full_volume(g, 1.0))
     raw = good.read_bytes()
     dup = tmp_path / "dup.vol"
     dup.write_bytes(raw.replace(b"DTYPE", b"SPACING 2.0 2.0 2.0\nDTYPE", 1))
@@ -610,7 +610,7 @@ MALFORMED_VOL = [
 def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message):
     g = GridGeometry((4, 4, 4))
     good = tmp_path / "good.vol"
-    volio.write_volume(good, Volume.full(g, fill))
+    volio.write_volume(good, full_volume(g, fill))
     bad = tmp_path / "bad.vol"
     bad.write_bytes(edit(good.read_bytes()))
     tracemalloc.start()
@@ -650,7 +650,7 @@ def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, header, line,
 
 def test_invariant_violation_error_record(tmp_path, capsys):
     g = GridGeometry((12, 12, 12))
-    flat = Volume.full(g, 1.0)
+    flat = full_volume(g, 1.0)
     path = tmp_path / "flat.vol"
     volio.write_volume(path, flat)
     code = main(["register", "--source", str(path), "--target", str(path),
@@ -700,6 +700,20 @@ def test_bad_phantom_value_is_invalid_input(tmp_path, capsys, flag, value):
     assert record["error"] == "invalid-input"
     assert flag[2:].replace("-", "_") in record["message"]
     assert not out.exists()
+
+
+def test_phantom_radius_defaults_to_fit_small_grids(tmp_path, capsys):
+    # without --radius a 21^3 grid gets 0.3 * 21 = 6.3 voxels, under 21 / 3
+    out = tmp_path / "g21"
+    assert main(["phantom", "--out", str(out), "--grid", "21", "--patients", "1",
+                 "--weeks", "2"]) == EXIT_OK
+    assert (out / "p00" / "week01_mask.vol").is_file()
+    # an explicit radius is checked as given
+    code = main(["phantom", "--out", str(tmp_path / "r0"), "--grid", "21",
+                 "--radius", "0", "--weeks", "2"])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert "radius" in record["message"]
 
 
 def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys):
@@ -885,13 +899,9 @@ SPLIT_PATIENTS = [_patient("p1", True, True, "PR"), _patient("p2", True, False, 
 
 
 def _cohort_report(patients):
-    from defield.cohort import CohortReport, Tabulation, build_contingency, metrics
-    from defield.stats import fisher_exact
-    tables = {}
-    for limit in ("all", "3"):
-        table = build_contingency(patients, limit)
-        tables[limit] = Tabulation(table, metrics(table), fisher_exact(table))
-    return CohortReport(patients, tables, None, [])
+    from defield.cohort import CohortReport, tabulate
+    return CohortReport(patients, {limit: tabulate(patients, limit)
+                                   for limit in ("all", "3")}, None, [])
 
 
 def test_split_covering_every_patient_matches_cohort():

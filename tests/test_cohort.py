@@ -8,14 +8,12 @@ import pytest
 
 from defield.cohort import (
     Decision,
-    Metrics,
     PatientRecord,
     PatientResult,
     RecistLabel,
     RegionMeans,
     Tabulation,
     WeekEntry,
-    build_contingency,
     classify,
     fixture_path,
     load_fixture,
@@ -38,8 +36,9 @@ from defield.registration import (
     RegistrationParams,
     SymmetricTransform,
 )
-from defield.stats import Contingency2x2
+from defield.stats import Contingency2x2, fisher_exact
 from defield import volio
+from oracles import full_volume
 
 
 def means(mu_r, mu_g, mu_u, mu_n=1.0, **kw):
@@ -109,59 +108,58 @@ class TestFixture:
         assert sum(1 for r in FIXTURE if r.recist.group == "PR") == 21
 
     def test_full_course_contingency(self):
-        table = build_contingency(FIXTURE, "all")
+        table = tabulate(FIXTURE, "all").contingency
         assert table.as_tuple() == (12, 4, 9, 13)
 
     def test_three_week_contingency(self):
-        table = build_contingency(FIXTURE, "3")
+        table = tabulate(FIXTURE, "3").contingency
         assert table.as_tuple() == (11, 3, 10, 14)
 
     def test_correct_classification_counts(self):
         # 12 of the 21 PR-or-CR patients and 13 of the 17 non-PR patients
-        table = build_contingency(FIXTURE, "all")
+        table = tabulate(FIXTURE, "all").contingency
         assert table.a == 12 and table.a + table.c == 21
         assert table.d == 13 and table.b + table.d == 17
 
     def test_all_na_rejected(self):
-        with pytest.raises(ValidationError):
-            build_contingency(NA_ONLY, "all")
+        for limit in ("all", "3"):
+            with pytest.raises(ValidationError, match="no patients left"):
+                tabulate(NA_ONLY, limit)
 
     def test_tabulate_matches_contingency_metrics_and_fisher(self):
-        from defield.stats import fisher_exact
         for patients, limit in ((FIXTURE, "all"), (FIXTURE, "3"),
                                 (undecided(FIXTURE), "all")):
-            table = build_contingency(patients, limit)
-            assert tabulate(patients, limit) == Tabulation(table, metrics(table),
-                                                           fisher_exact(table))
-        with pytest.raises(ValidationError):
-            tabulate(NA_ONLY, "3")
+            tab = tabulate(patients, limit)
+            table = tab.contingency
+            assert tab == Tabulation(table, metrics(table), fisher_exact(table))
 
     def test_reproduction_flags_recall_discrepancy(self):
-        rep = reproduce_from_fixture(FIXTURE)
-        assert any("recall" in f and "60.0" in f for f in rep.flags)
-        assert rep.tables["all"].metrics.recall == pytest.approx(57.1, abs=0.1)
+        tables, payload = reproduce_from_fixture(FIXTURE)
+        assert any("recall" in f and "60.0" in f for f in payload["flags"])
+        assert tables["all"].metrics["recall"] == pytest.approx(57.1, abs=0.1)
 
 
 class TestMetrics:
     def test_three_week_values(self):
         m = metrics(Contingency2x2(11, 3, 10, 14))
-        assert m.accuracy == pytest.approx(65.8, abs=0.1)
-        assert m.precision == pytest.approx(78.6, abs=0.1)
-        assert m.recall == pytest.approx(52.4, abs=0.1)
+        assert list(m) == ["accuracy", "precision", "recall"]
+        assert m["accuracy"] == pytest.approx(65.8, abs=0.1)
+        assert m["precision"] == pytest.approx(78.6, abs=0.1)
+        assert m["recall"] == pytest.approx(52.4, abs=0.1)
 
     def test_full_course_values(self):
         m = metrics(Contingency2x2(12, 4, 9, 13))
-        assert m.precision == pytest.approx(75.0, abs=0.1)
-        assert m.recall == pytest.approx(57.1, abs=0.1)
+        assert m["precision"] == pytest.approx(75.0, abs=0.1)
+        assert m["recall"] == pytest.approx(57.1, abs=0.1)
 
     def test_perfect_table(self):
         m = metrics(Contingency2x2(7, 0, 0, 5))
-        assert (m.accuracy, m.precision, m.recall) == (100.0, 100.0, 100.0)
+        assert m == {"accuracy": 100.0, "precision": 100.0, "recall": 100.0}
 
     def test_undefined_metrics_flagged(self):
         m = metrics(Contingency2x2(0, 0, 3, 4))
-        assert m.precision is None
-        assert m.recall == 0.0
+        assert m["precision"] is None
+        assert m["recall"] == 0.0
 
 
 class TestPopulationOrdering:
@@ -252,7 +250,7 @@ class TestPatientPipeline:
 
     def test_record_requires_two_weeks(self, tmp_path):
         g = GridGeometry((16, 16, 16))
-        vol = Volume.full(g, 1.0)
+        vol = full_volume(g, 1.0)
         mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
         week = write_week(tmp_path, "week0", vol, mask)
         with pytest.raises(ValidationError):
@@ -260,7 +258,7 @@ class TestPatientPipeline:
 
     def test_weeks_must_be_strictly_ordered(self, tmp_path):
         g = GridGeometry((16, 16, 16))
-        vol = Volume.full(g, 1.0)
+        vol = full_volume(g, 1.0)
         mask = Mask(g, np.zeros(g.dims, dtype=np.uint8))
         w = write_week(tmp_path, "week0", vol, mask)
         with pytest.raises(ValidationError):
@@ -279,7 +277,7 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
     report = run_cohort(records, FAST)
     assert report.patients[0].decisions["all"] == Decision.PR_CLASSIFIED
     assert report.tables["all"].contingency.as_tuple() == (1, 0, 0, 0)
-    assert report.tables["all"].metrics.accuracy == 100.0
+    assert report.tables["all"].metrics["accuracy"] == 100.0
     # degenerate note surfaces as a warning
     assert any("degenerate" in w for w in report.warnings)
 

@@ -21,6 +21,7 @@ from defield.grids import (
     warp_mask,
     warp_volume,
 )
+from oracles import full_volume
 
 G8 = GridGeometry((8, 8, 8))
 
@@ -68,7 +69,7 @@ class TestContainers:
             VectorField(G8, np.zeros((8, 8, 8), dtype=np.float32))
 
     def test_data_is_read_only(self):
-        vol = Volume.full(G8, 1.0)
+        vol = full_volume(G8, 1.0)
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 2.0
 
@@ -120,7 +121,7 @@ class TestTrilinearSample:
     samples z - shift."""
 
     def test_constant(self):
-        vol = Volume.full(G8, 5.0)
+        vol = full_volume(G8, 5.0)
         for shift in [(0, 0, 0), (3.3, 4.7, 1.1), (-2.0, 9.5, 3.0)]:
             out = warp_volume(vol, uniform_field(G8, *shift))
             assert np.allclose(out.data, 5.0)
@@ -176,7 +177,7 @@ class TestWarpVolume:
         assert np.allclose(out.data[0], 0.0)
 
     def test_constant_volume_any_field(self):
-        vol = Volume.full(G8, 2.5)
+        vol = full_volume(G8, 2.5)
         rng = np.random.default_rng(2)
         disp = VectorField(G8, rng.uniform(-2, 2, size=(3, *G8.dims)).astype(np.float32))
         out = warp_volume(vol, disp)
@@ -185,7 +186,7 @@ class TestWarpVolume:
     def test_geometry_mismatch(self):
         other = GridGeometry((8, 8, 9))
         with pytest.raises(GeometryMismatch):
-            warp_volume(Volume.full(G8, 0.0), VectorField.zero(other))
+            warp_volume(full_volume(G8, 0.0), VectorField.zero(other))
 
 
 class TestWarpMask:
@@ -224,7 +225,7 @@ class TestGaussianSmooth:
         assert np.array_equal(gaussian_smooth(vol, 0.0).data, vol.data)
 
     def test_constant_unchanged(self):
-        vol = Volume.full(G8, 4.0)
+        vol = full_volume(G8, 4.0)
         assert np.allclose(gaussian_smooth(vol, 1.7).data, 4.0, atol=1e-6)
 
     def test_impulse_center_weight(self):
@@ -244,7 +245,7 @@ class TestGaussianSmooth:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
-            gaussian_smooth(Volume.full(G8, 0.0), -0.5)
+            gaussian_smooth(full_volume(G8, 0.0), -0.5)
 
     def test_mean_preserved_away_from_boundary(self):
         g = GridGeometry((24, 24, 24))
@@ -264,7 +265,7 @@ class TestGaussianSmooth:
 
 class TestPyramid:
     def test_downsample_constant(self):
-        vol = Volume.full(G8, 1.5)
+        vol = full_volume(G8, 1.5)
         out = downsample2(vol)
         assert out.geometry.dims == (4, 4, 4)
         assert out.geometry.spacing == (2.0, 2.0, 2.0)
@@ -285,7 +286,7 @@ class TestPyramid:
 
     def test_downsample_needs_dims_4(self):
         with pytest.raises(ValidationError):
-            downsample2(Volume.full(GridGeometry((3, 8, 8)), 0.0))
+            downsample2(full_volume(GridGeometry((3, 8, 8)), 0.0))
 
     def test_upsample_uniform_doubles(self):
         coarse = GridGeometry((4, 4, 4), spacing=(2, 2, 2))

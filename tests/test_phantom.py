@@ -185,6 +185,12 @@ class TestSynthCourse:
         overlap = (warped.data & nxt.data).sum()
         assert overlap / warped.data.sum() > 0.99
 
+    def test_default_radius_follows_the_grid(self):
+        radii = {n: PhantomSpec(grid=GridGeometry((n, n, n))).radius
+                 for n in (21, 36, 40, 64)}
+        assert radii == {21: 6.3, 36: 10.8, 40: 12.0, 64: 12.0}
+        assert PhantomSpec(grid=GridGeometry((64, 21, 40))).radius == 6.3
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             self.spec("implode")

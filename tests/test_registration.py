@@ -41,7 +41,7 @@ from defield.registration import (
     register,
     save_transform,
 )
-from oracles import mean_norm
+from oracles import full_volume, mean_norm
 
 G24 = GridGeometry((24, 24, 24))
 
@@ -68,7 +68,7 @@ class TestLccSimilarity:
         assert lcc_similarity(a, b, 2.0) < 0.2
 
     def test_sigma_validated(self):
-        vol = Volume.full(G24, 0.0)
+        vol = full_volume(G24, 0.0)
         with pytest.raises(ValidationError):
             lcc_similarity(vol, vol, 0.0)
 
@@ -251,7 +251,7 @@ class TestRegister:
         assert mean_norm(transform.forward) < 0.05
 
     def test_constant_volume_rejected(self):
-        flat = Volume.full(G24, 1.0)
+        flat = full_volume(G24, 1.0)
         blob = blob_volume(G24, (11.5, 11.5, 11.5), 7.0, seed=6)
         with pytest.raises(ValidationError):
             register(flat, blob)
