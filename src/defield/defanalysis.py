@@ -170,8 +170,11 @@ def write_samples_csv(path, samples: RegionSamples) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("label,j_value\n")
         for region in REGIONS:
-            for value in samples.samples[region]:
-                fh.write(f"{region},{float(value)!r}\n")
+            arr = samples.samples[region]
+            # one write per 1024 values: few calls, few Python floats alive
+            for start in range(0, arr.size, 1024):
+                chunk = arr[start:start + 1024].tolist()
+                fh.write("".join([f"{region},{v!r}\n" for v in chunk]))
 
 
 def read_samples_csv(path) -> RegionSamples:

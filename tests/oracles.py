@@ -3,7 +3,7 @@ import numpy as np
 
 from defield.defanalysis import JacobianMap
 from defield.grids import GridGeometry, ValidationError, VectorField, Volume
-from defield.phantom import RadialComponent, _radius_grid, grid_center
+from defield.phantom import RadialComponent, RadialMap, _radius_grid, grid_center
 
 
 def full_volume(geometry: GridGeometry, value: float) -> Volume:
@@ -41,6 +41,21 @@ def radial_gaussian_field(center, amplitude: float, width: float,
     disp = (-offsets * comp.factor(r)).astype(np.float32)
     jac = comp.jacobian(r).astype(np.float32)
     return VectorField(grid, disp), JacobianMap(grid, jac)
+
+
+def voxelwise_pullback(rm: RadialMap, center,
+                       grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
+    """The phantom pullback with the radial map inverted at every voxel: one
+    bisection over the whole radius grid, then the displacement and the
+    analytic Jacobian 1 / J(map^{-1}(r)) per voxel. The reference that the
+    per-distinct-radius solve must match bit for bit.
+    """
+    offsets, r = _radius_grid(grid, center)
+    rinv = rm.inverse(r)
+    scale = np.ones_like(r)
+    nonzero = r > 1e-12
+    scale[nonzero] = 1.0 - rinv[nonzero] / r[nonzero]
+    return VectorField(grid, offsets * scale), JacobianMap(grid, 1.0 / rm.jacobian(rinv))
 
 
 def whole_grid_jacobian(disp: VectorField) -> np.ndarray:

@@ -716,6 +716,16 @@ def test_phantom_radius_defaults_to_fit_small_grids(tmp_path, capsys):
     assert "radius" in record["message"]
 
 
+@pytest.mark.parametrize("grid", ["21", "30"])
+def test_phantom_cohort_defaults_fit_small_grids(tmp_path, grid):
+    # the third patient's +1 voxel of jitter would reach a third of the
+    # grid, so that patient keeps the default radius
+    out = tmp_path / "out"
+    assert main(["phantom", "--out", str(out), "--grid", grid, "--patients", "3",
+                 "--weeks", "2"]) == EXIT_OK
+    assert (out / "p02" / "week01_mask.vol").is_file()
+
+
 def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys):
     cfg_file = tmp_path / "pipeline.cfg"
     cfg_file.write_text("workers abc\n")

@@ -258,9 +258,13 @@ class TestPool:
 
 def test_samples_csv_roundtrip_byte_identical(tmp_path):
     rng = np.random.default_rng(9)
-    s = RegionSamples({r: rng.uniform(0.5, 2.0, size=10) for r in "URGN"})
+    # an empty region, and regions that end on and across 1024-value writes
+    sizes = {"U": 10, "R": 0, "G": 2048, "N": 3000}
+    s = RegionSamples({r: rng.uniform(0.5, 2.0, size=n) for r, n in sizes.items()})
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_samples_csv(p1, s)
+    lines = [f"{r},{float(v)!r}\n" for r in "URGN" for v in s.samples[r]]
+    assert p1.read_text() == "label,j_value\n" + "".join(lines)
     back = read_samples_csv(p1)
     for region in "URGN":
         assert np.array_equal(back.samples[region], s.samples[region])

@@ -16,12 +16,13 @@ from defield.phantom import (
     PhantomSpec,
     RadialComponent,
     RadialMap,
+    _radius_grid,
     grid_center,
     pullback,
     synth_cohort,
     synth_course,
 )
-from oracles import affine_field, radial_gaussian_field
+from oracles import affine_field, radial_gaussian_field, voxelwise_pullback
 
 G32 = GridGeometry((32, 32, 32))
 C32 = grid_center(G32)
@@ -267,14 +268,57 @@ def test_phantom_bytes_are_pinned(mode, tmp_path):
 
 @pytest.mark.parametrize("mode, calls", [("shrink", 3), ("grow", 3), ("stable", 0)])
 def test_one_radial_inversion_per_week(mode, calls, monkeypatch):
-    count = []
+    sizes = []
     real_inverse = RadialMap.inverse
 
     def counted(self, rho, tol=1e-6):
-        count.append(1)
+        sizes.append(np.size(rho))
         return real_inverse(self, rho, tol)
 
     monkeypatch.setattr(RadialMap, "inverse", counted)
-    synth_course(PhantomSpec(grid=GridGeometry((24, 24, 24)), radius=6.0,
-                             mode=mode, weeks=4, seed=5))
-    assert len(count) == calls
+    grid = GridGeometry((24, 24, 24))
+    synth_course(PhantomSpec(grid=grid, radius=6.0, mode=mode, weeks=4, seed=5))
+    # each week bisects the distinct radii only: 152 of the 13 824 voxels
+    distinct = np.unique(_radius_grid(grid, grid_center(grid))[1]).size
+    assert distinct < grid.n_voxels
+    assert sizes == [distinct] * calls
+
+
+@pytest.mark.parametrize("dims, center", [
+    ((21, 21, 21), (10.0, 10.0, 10.0)),     # the centre voxel has r = 0
+    ((24, 24, 24), (11.5, 11.5, 11.5)),
+    ((20, 27, 17), (9.3, 12.7, 8.1)),       # non-cubic, off-grid centre
+])
+def test_pullback_is_bitwise_the_voxelwise_bisection(dims, center):
+    grid = GridGeometry(dims)
+    rm = RadialMap((RadialComponent(-0.52, 3.5), RadialComponent(0.068, 8.1)))
+    field, jac = pullback(rm, center, grid)
+    ref_field, ref_jac = voxelwise_pullback(rm, center, grid)
+    assert np.array_equal(field.data, ref_field.data)
+    assert np.array_equal(jac.data, ref_jac.data)
+
+
+def test_cohort_jitter_keeps_the_radius_rules():
+    # +1 would reach a third of the grid at 21^3 and 30^3, and -1 would
+    # leave 2 voxels or less at radius 2.5: those patients keep the base radius
+    def radii(n, **kw):
+        spec = PhantomSpec(grid=GridGeometry((n, n, n)), weeks=2, **kw)
+        return [c.spec.radius for c in synth_cohort(spec, 3)]
+
+    assert radii(21) == [6.3, 5.3, 6.3]
+    assert radii(30) == [9.0, 8.0, 9.0]
+    assert radii(31) == [9.3, 8.3, 10.3]
+    assert radii(40) == [12.0, 11.0, 13.0]
+    assert radii(24, radius=2.5, amplitude=0.5) == [2.5, 2.5, 3.5]
+
+
+# sha256 of the tree that `defield phantom --grid 40 --patients 3 --weeks 2
+# --seed 5` writes, recorded before the pullback solved per distinct radius;
+# the third patient's jittered radius 13 is under 40 / 3, so it is kept
+PHANTOM_40_SHA256 = "821c6230da6d051044ab9d04ea80ca63d1a01fdd847512b5d4240ab65dc69b54"
+
+
+def test_phantom_40_three_patients_bytes_are_pinned(tmp_path):
+    assert main(["phantom", "--out", str(tmp_path / "out"), "--grid", "40",
+                 "--patients", "3", "--weeks", "2", "--seed", "5"]) == 0
+    assert _tree_digest(tmp_path / "out") == PHANTOM_40_SHA256

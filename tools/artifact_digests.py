@@ -30,8 +30,10 @@ reproduce-paper with a --fixture whose patients all have the NA response
 field whose header says SPACING nan (nan-spacing.vol), reproduce-paper
 with a --fixture that repeats a patient id (duplicate-id.csv), and
 classify with a population split that names an id the manifest lacks,
-and a one-patient 21^3 phantom with jacobian of its ground-truth field
-(21 x-planes end jacobian_map's slabs with a partial one).
+a one-patient 21^3 phantom with jacobian of its ground-truth field
+(21 x-planes end jacobian_map's slabs with a partial one), and a
+three-patient 21^3 phantom with the default radius (the third patient's
+jitter would break the radius rule, so it keeps the base radius).
 Each step prints digests of its exit code, stdout and stderr; after the
 steps, each file under WORKDIR gets one line.
 Standard library only.
@@ -127,6 +129,8 @@ STEPS = [
                         "--patients", "1", "--weeks", "2"]),
     ("jacobian-grid21", ["jacobian", "--field", "g21/p00/gt_forward00.vol",
                          "--out", "jac21"]),
+    ("phantom-grid21-cohort", ["phantom", "--out", "g21-cohort", "--grid", "21",
+                               "--patients", "3", "--weeks", "2"]),
 ]
 
 
