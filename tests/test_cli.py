@@ -179,7 +179,9 @@ STATS_SHA256 = {
 }
 
 
-def test_stats_bytes_are_pinned(tmp_path):
+def _stats_of_pinned_samples(tmp_path):
+    """Run stats on seeded U (37), R (1), G (250) and N (20 000) samples
+    and return its output directory."""
     rng = np.random.default_rng(2024)
     sizes = {"U": 37, "R": 1, "G": 250, "N": 20_000}
     lines = ["label,j_value"]
@@ -189,9 +191,46 @@ def test_stats_bytes_are_pinned(tmp_path):
     samples.write_text("\n".join(lines) + "\n")
     assert main(["stats", "--samples", str(samples),
                  "--out", str(tmp_path / "stats")]) == EXIT_OK
+    return tmp_path / "stats"
+
+
+def test_stats_bytes_are_pinned(tmp_path):
+    _stats_of_pinned_samples(tmp_path)
     for name, want in STATS_SHA256.items():
         digest = hashlib.sha256((tmp_path / "stats" / name).read_bytes()).hexdigest()
         assert digest == want, name
+
+
+# float.hex of the tumour regions' intervals on the samples of
+# test_stats_bytes_are_pinned (R has one sample, so no interval), and their
+# stats.csv rows
+TUMOUR_INTERVALS = {
+    "U": {"normal_ci": ("0x1.f551142f49d97p-1", "0x1.0a058695b9926p+0"),
+          "bootstrap_ci": ("0x1.f63b851d16f51p-1", "0x1.09a76c216a959p+0")},
+    "G": {"normal_ci": ("0x1.fa0639104d8dcp-1", "0x1.03609da7379eep+0"),
+          "bootstrap_ci": ("0x1.f9fe6f8dcbdeap-1", "0x1.036ba559f7906p+0")},
+}
+TUMOUR_ROWS = [
+    "U,37,1.0091405116684184,0.09312478395311806,0.9791342075085819,"
+    "1.0391468158282549,0.9809228513727054,1.0377109128554223",
+    "G,250,1.000760858805005,0.10029228341265486,0.9883287269974761,"
+    "1.0131929906125339,0.9882693157759921,1.0133612961431608",
+]
+
+
+def test_stats_tumour_intervals_are_pinned(tmp_path):
+    out = _stats_of_pinned_samples(tmp_path)
+    report = json.loads((out / "stats.json").read_text())
+    regions = report["regions"]
+    assert regions["R"] == {"n": 1, "mean": regions["R"]["mean"], "sd": 0.0}
+    records = {(r["test"], r["inputs"]["region"]): r for r in report["records"]}
+    for region, intervals in TUMOUR_INTERVALS.items():
+        for test, want in intervals.items():
+            assert tuple(v.hex() for v in regions[region][test]) == want, (region, test)
+            got = records[test, region]["interval"]
+            assert tuple(v.hex() for v in got) == want, (region, test)
+    rows = (out / "stats.csv").read_text().splitlines()
+    assert [r for r in rows if r[0] in "URG"] == TUMOUR_ROWS
 
 
 def test_stats_of_an_empty_region(tmp_path):
