@@ -233,16 +233,23 @@ def cmd_stats(args) -> int:
         if stats.n < 2:
             continue
         ci = normal_ci(stats, cfg.confidence_level)
-        boot = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
-                            cfg.bootstrap_seed)
-        entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=[boot.lo, boot.hi])
         inputs = {"region": region, "n": stats.n, "sd": stats.sd,
                   "level": cfg.confidence_level}
         records.append(record("normal_ci", inputs, stats.mean, interval=[ci.lo, ci.hi]))
-        records.append(record("bootstrap_ci",
-                              {**inputs, "b": cfg.bootstrap_b, "seed": cfg.bootstrap_seed},
-                              stats.mean, interval=[boot.lo, boot.hi]))
-        rows.append([region, stats.n, stats.mean, stats.sd, ci.lo, ci.hi, boot.lo, boot.hi])
+        boot = None
+        # N, the reference region, keeps only its normal interval: no
+        # decision reads it, and over its many voxels the percentile
+        # interval is the normal one plus Monte Carlo noise
+        if region != "N":
+            interval = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
+                                    cfg.bootstrap_seed)
+            boot = [interval.lo, interval.hi]
+            records.append(record("bootstrap_ci",
+                                  {**inputs, "b": cfg.bootstrap_b, "seed": cfg.bootstrap_seed},
+                                  stats.mean, interval=boot))
+        entry.update(normal_ci=[ci.lo, ci.hi], bootstrap_ci=boot)
+        rows.append([region, stats.n, stats.mean, stats.sd, ci.lo, ci.hi,
+                     *(boot or [None, None])])
     volio.write_json(os.path.join(out, "stats.json"),
                      {"confidence_level": cfg.confidence_level,
                       "bootstrap_b": cfg.bootstrap_b,

@@ -335,8 +335,9 @@ def synth_course(spec: PhantomSpec) -> SyntheticCourse:
 def synth_cohort(spec: PhantomSpec, n_patients: int) -> list[SyntheticCourse]:
     """Independent courses with per-patient seeds and mild radius jitter.
 
-    A patient whose jittered radius would break PhantomSpec's radius rules
-    keeps the base radius.
+    A patient whose jittered radius would break PhantomSpec's radius rules,
+    or whose jittered course leaves the monotone amplitude range in any
+    week, keeps the base radius.
     """
     if n_patients < 1:
         raise ValidationError("n_patients must be >= 1")
@@ -345,8 +346,10 @@ def synth_cohort(spec: PhantomSpec, n_patients: int) -> list[SyntheticCourse]:
         jitter = [0.0, -1.0, 1.0][p % 3]
         course_spec = replace(spec, seed=spec.seed + 1000 * p)
         try:
-            course_spec = replace(course_spec, radius=spec.radius + jitter)
+            course = synth_course(replace(course_spec, radius=spec.radius + jitter))
         except ValidationError:
-            pass
-        courses.append(synth_course(course_spec))
+            if not jitter:
+                raise
+            course = synth_course(course_spec)
+        courses.append(course)
     return courses

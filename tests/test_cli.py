@@ -173,8 +173,8 @@ def test_register_jacobian_regions_stats_chain(phantom_dir, tmp_path):
 # sha256 of the stats stage's artifacts on the seeded samples.csv of
 # test_stats_bytes_are_pinned
 STATS_SHA256 = {
-    "stats.json": "d6fbe3b15e735d22d0cc273ce1ea905a3e6760cfc61ae68ad1ba7b135528ef57",
-    "stats.csv": "a92b6f5cfc917ec9c07db71ae79c6848803d40a6a0ed931f0b9ad42310c6f4b1",
+    "stats.json": "59146fd60ee6b4b685968983f7170a6b3811a7f80fcd632799b10b130e3564a4",
+    "stats.csv": "0d631f34181d769849618acc157269d1dc73f736d71eedc1c279a4a829dbef6c",
     "boxplot.csv": "eac612b2a0bc9179762c704459ef8c040d1049d45ba4746847d3bdc21d1e220e",
 }
 
@@ -231,6 +231,22 @@ def test_stats_tumour_intervals_are_pinned(tmp_path):
             assert tuple(v.hex() for v in got) == want, (region, test)
     rows = (out / "stats.csv").read_text().splitlines()
     assert [r for r in rows if r[0] in "URG"] == TUMOUR_ROWS
+
+
+def test_stats_n_keeps_only_the_normal_ci(tmp_path):
+    # N is the reference region: no decision reads its interval, so it is
+    # not bootstrapped
+    out = _stats_of_pinned_samples(tmp_path)
+    report = json.loads((out / "stats.json").read_text())
+    n_entry = report["regions"]["N"]
+    assert n_entry["n"] == 20_000 and len(n_entry["normal_ci"]) == 2
+    assert n_entry["bootstrap_ci"] is None
+    tests = [r["test"] for r in report["records"] if r["inputs"]["region"] == "N"]
+    assert tests == ["normal_ci"]
+    rows = list(csv.DictReader((out / "stats.csv").read_text().splitlines()))
+    (n_row,) = [r for r in rows if r["region"] == "N"]
+    assert n_row["normal_lo"] and n_row["normal_hi"]
+    assert n_row["boot_lo"] == n_row["boot_hi"] == ""
 
 
 def test_stats_of_an_empty_region(tmp_path):
@@ -763,6 +779,28 @@ def test_phantom_cohort_defaults_fit_small_grids(tmp_path, grid):
     assert main(["phantom", "--out", str(out), "--grid", grid, "--patients", "3",
                  "--weeks", "2"]) == EXIT_OK
     assert (out / "p02" / "week01_mask.vol").is_file()
+
+
+@pytest.mark.parametrize("grid, weeks", [("16", "4"), ("13", "2"), ("12", "2")])
+def test_phantom_cohort_jitter_keeps_the_amplitude_range(tmp_path, grid, weeks):
+    # the second patient's -1 voxel of jitter would push a week's tumour
+    # amplitude below the monotone range, so that patient keeps the default
+    # radius
+    out = tmp_path / "out"
+    assert main(["phantom", "--out", str(out), "--grid", grid, "--patients", "3",
+                 "--weeks", weeks]) == EXIT_OK
+    assert (out / "p02" / f"week{int(weeks) - 1:02d}_mask.vol").is_file()
+
+
+def test_phantom_base_course_outside_the_amplitude_range(tmp_path, capsys):
+    # at 10^3 the default radius 3 itself breaks the range: nothing to fall
+    # back to
+    out = tmp_path / "out"
+    code = main(["phantom", "--out", str(out), "--grid", "10", "--patients", "3"])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert "outside the monotone range" in record["message"]
+    assert not out.exists()
 
 
 def test_non_numeric_config_value_is_invalid_input(phantom_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Analytic phantom fields and synthetic course generation."""
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ def test_cohort_jitter_keeps_the_radius_rules():
     assert radii(31) == [9.3, 8.3, 10.3]
     assert radii(40) == [12.0, 11.0, 13.0]
     assert radii(24, radius=2.5, amplitude=0.5) == [2.5, 2.5, 3.5]
+
+
+def test_cohort_jitter_keeps_the_amplitude_range():
+    # at 16^3 the -1 jitter (radius 3.8) would leave the monotone amplitude
+    # range in a later week, and +1 (5.8) would reach a third of the grid
+    spec = PhantomSpec(grid=GridGeometry((16, 16, 16)), weeks=4)
+    assert [c.spec.radius for c in synth_cohort(spec, 3)] == [4.8, 4.8, 4.8]
+    with pytest.raises(ValidationError, match="monotone range"):
+        synth_course(replace(spec, radius=3.8))
 
 
 # sha256 of the tree that `defield phantom --grid 40 --patients 3 --weeks 2
