@@ -237,9 +237,8 @@ def cmd_stats(args) -> int:
                   "level": cfg.confidence_level}
         records.append(record("normal_ci", inputs, stats.mean, interval=[ci.lo, ci.hi]))
         boot = None
-        # N, the reference region, keeps only its normal interval: no
-        # decision reads it, and over its many voxels the percentile
-        # interval is the normal one plus Monte Carlo noise
+        # N, the reference region, keeps only its normal interval (see the
+        # stats module docstring)
         if region != "N":
             interval = bootstrap_ci(values, cfg.bootstrap_b, cfg.confidence_level,
                                     cfg.bootstrap_seed)

@@ -11,10 +11,13 @@ The bootstrap draws its resamples in chunks of max(1, CHUNK_INDICES // n)
 from one seeded generator; one integers(size=(k, n)) call consumes the
 stream exactly as k calls of size n do, and each mean is still taken over
 one resample's gathered values, so the intervals are bit-identical to
-drawing and averaging one resample at a time. The stats command bootstraps the tumour regions U, R and
-G only: N, the reference region, is read by no decision, and over its
-many voxels the percentile interval of the mean is the normal interval
-plus Monte Carlo noise, so N keeps its normal interval alone.
+drawing and averaging one resample at a time.
+
+The stats command bootstraps the tumor regions U, R and G only. N, the
+reference region, is read by no decision, and over its many voxels the
+percentile interval of the mean is the normal interval plus Monte Carlo
+noise (Efron & Tibshirani 1993, ch. 13), so N keeps its normal interval
+alone.
 """
 from __future__ import annotations
 
