@@ -690,7 +690,11 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message
     (b"region,j_value", b"U,1.0", "unexpected samples header 'region,j_value'"),
     (b"label,j_value", b"X,1.0", "unknown region label 'X'"),
     (b"label,j_value", b"U,nan", "region U has non-finite or non-positive samples"),
-], ids=["non-numeric", "empty", "non-ascii", "header", "unknown-label", "nan"])
+    (b"label,j_value", b"U ,1.0", "unknown region label 'U '"),
+    (b"label,j_value", b"U,1.0,2", "bad j_value '1.0,2'"),
+    (b"label,j_value", b"U,0x1p0", "bad j_value '0x1p0'"),
+], ids=["non-numeric", "empty", "non-ascii", "header", "unknown-label", "nan",
+        "label-space", "three-fields", "hex"])
 def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, header, line,
                                                 message):
     samples = tmp_path / "samples.csv"
@@ -701,6 +705,15 @@ def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, header, line,
     assert record["error"] == "invalid-input"
     assert str(samples) in record["message"]
     assert message in record["message"]
+
+
+def test_empty_samples_csv_is_invalid_input(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_bytes(b"")
+    code = main(["stats", "--samples", str(samples), "--out", str(tmp_path / "out")])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert f"{samples}: unexpected samples header ''" == record["message"]
 
 
 def test_invariant_violation_error_record(tmp_path, capsys):

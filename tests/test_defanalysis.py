@@ -272,6 +272,26 @@ def test_samples_csv_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("body, expected", [
+    (b"U,1.0\n\nR,0.9\n", {"U": [1.0], "R": [0.9]}),
+    (b"U,1.0\r\nR,0.9\r\n", {"U": [1.0], "R": [0.9]}),
+    (b" U,1.0 \nR, 0.9\n", {"U": [1.0], "R": [0.9]}),
+    (b"U,1.0\nR,0.9", {"U": [1.0], "R": [0.9]}),
+    (b"N,1.5\nU,1.0\nN,0.5\n", {"U": [1.0], "N": [1.5, 0.5]}),
+    (b"", {}),
+], ids=["blank-line", "crlf", "spaces", "no-final-newline", "interleaved",
+        "header-only"])
+def test_samples_csv_reader_accepts(tmp_path, body, expected):
+    header = b"label,j_value\r\n" if b"\r\n" in body else b"label,j_value\n"
+    path = tmp_path / "samples.csv"
+    path.write_bytes(header + body)
+    back = read_samples_csv(path)
+    for region in "URGN":
+        got = back.samples[region]
+        assert got.dtype == np.float64
+        assert got.tolist() == expected.get(region, [])
+
+
 @pytest.mark.parametrize("n, bound", [(32, 60), (64, 35)], ids=["32", "64"])
 def test_jacobian_map_peak_memory_per_voxel(n, bound):
     """jacobian_map widens one x-slab of one field component at a time and
