@@ -11,6 +11,7 @@ per region for the downstream statistics.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ LABEL_N, LABEL_U, LABEL_R, LABEL_G = 0, 1, 2, 3
 REGIONS = ("U", "R", "G", "N")
 _CODE = {"N": LABEL_N, "U": LABEL_U, "R": LABEL_R, "G": LABEL_G}
 SLAB_PLANES = 8  # x-planes per jacobian_map slab: bounds its float64 temporaries
+CSV_CHUNK = 4096  # values per samples.csv write
+# a two-character label field: a longer label stays unknown after truncation
+_SAMPLES_DTYPE = np.dtype([("label", "U2"), ("j_value", np.float64)])
+_LOOSE_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class JacobianMap(Volume):
@@ -171,13 +176,66 @@ def write_samples_csv(path, samples: RegionSamples) -> None:
         fh.write("label,j_value\n")
         for region in REGIONS:
             arr = samples.samples[region]
-            # one write per 1024 values: few calls, few Python floats alive
-            for start in range(0, arr.size, 1024):
-                chunk = arr[start:start + 1024].tolist()
-                fh.write("".join([f"{region},{v!r}\n" for v in chunk]))
+            sep = f"\n{region},"
+            # one join and one write per chunk: few calls, few Python floats alive
+            for start in range(0, arr.size, CSV_CHUNK):
+                chunk = arr[start:start + CSV_CHUNK].tolist()
+                fh.write(f"{region}," + sep.join(map(repr, chunk)) + "\n")
 
 
 def read_samples_csv(path) -> RegionSamples:
+    """RegionSamples from a `label,j_value` CSV.
+
+    numpy's C text reader parses the file in one pass. Whatever it does not
+    take as it stands (a bad line, but also a blank-only line or a label
+    with leading spaces) is read again by _scan_samples_csv, line by line,
+    which accepts the same inputs with the same values and names the first
+    bad line.
+    """
+    collected = _parse_samples_csv(path)
+    if collected is None:
+        collected = _scan_samples_csv(path)
+    try:
+        return RegionSamples(collected)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parse_samples_csv(path) -> dict[str, np.ndarray] | None:
+    """The per-region values, or None where the line scan must decide."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            if fh.readline().strip() != "label,j_value":
+                return None
+            with warnings.catch_warnings():
+                # a header-only file is valid: every region is empty
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", dtype=_SAMPLES_DTYPE,
+                                   comments=None, ndmin=1)
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    if _has_loose_bytes(path):
+        return None
+    labels, values = table["label"], table["j_value"]
+    masks = {r: labels == r for r in REGIONS}
+    if sum(int(m.sum()) for m in masks.values()) != labels.size:
+        return None
+    return {r: values[m] for r, m in masks.items()}
+
+
+def _has_loose_bytes(path) -> bool:
+    """True if the file holds a byte that numpy's text reader takes for
+    padding or whitespace where float() and the label check do not: NUL
+    (dropped from the end of a label) and the ASCII separators 0x1c-0x1f
+    (skipped before a value)."""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if any(byte in block for byte in _LOOSE_BYTES):
+                return True
+    return False
+
+
+def _scan_samples_csv(path) -> dict[str, list[float]]:
     collected: dict[str, list[float]] = {r: [] for r in REGIONS}
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -191,12 +249,12 @@ def read_samples_csv(path) -> RegionSamples:
                 region, _, value = line.partition(",")
                 if region not in _CODE:
                     raise ValidationError(f"{path}: unknown region label {region!r}")
+                # float() takes "1_0" for 10.0; a j_value is plain decimal
+                if "_" in value:
+                    raise ValueError(value)
                 collected[region].append(float(value))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not ASCII: {exc}") from None
         except ValueError:
             raise ValidationError(f"{path}: bad j_value {value!r}") from None
-    try:
-        return RegionSamples({r: np.array(v) for r, v in collected.items()})
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return collected

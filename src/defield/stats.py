@@ -9,9 +9,10 @@ is the unconditional sample ratio a*d/(b*c).
 
 The bootstrap draws its resamples in chunks of max(1, CHUNK_INDICES // n)
 from one seeded generator; one integers(size=(k, n)) call consumes the
-stream exactly as k calls of size n do, and each mean is still taken over
-one resample's gathered values, so the intervals are bit-identical to
-drawing and averaging one resample at a time.
+stream exactly as k calls of size n do. Each chunk's values are gathered
+into one (k, n) block, and each mean is the mean of one row of that block,
+reduced on its own with the same pairwise sum, so the intervals are
+bit-identical to drawing and averaging one resample at a time.
 
 The stats command bootstraps the tumor regions U, R and G only. N, the
 reference region, is read by no decision, and over its many voxels the
@@ -124,8 +125,7 @@ def bootstrap_ci(samples, b: int = 1000, level: float = 0.95, seed: int = 0) -> 
     means = np.empty(b, dtype=np.float64)
     for start in range(0, b, k):
         indices = rng.integers(0, n, size=(min(k, b - start), n))
-        for j, row in enumerate(indices):
-            means[start + j] = arr[row].mean()
+        means[start:start + len(indices)] = arr[indices].mean(axis=1)
     alpha = 1.0 - level
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return Interval(float(lo), float(hi), level)

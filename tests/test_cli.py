@@ -693,8 +693,12 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message
     (b"label,j_value", b"U ,1.0", "unknown region label 'U '"),
     (b"label,j_value", b"U,1.0,2", "bad j_value '1.0,2'"),
     (b"label,j_value", b"U,0x1p0", "bad j_value '0x1p0'"),
+    (b"label,j_value", b"U,1_0", "bad j_value '1_0'"),
+    (b"label,j_value", b"U\x00,1.0", "unknown region label 'U\\x00'"),
+    (b"label,j_value", b"U,\x1c1.0", "bad j_value '\\x1c1.0'"),
 ], ids=["non-numeric", "empty", "non-ascii", "header", "unknown-label", "nan",
-        "label-space", "three-fields", "hex"])
+        "label-space", "three-fields", "hex", "underscore", "label-nul",
+        "value-separator"])
 def test_malformed_samples_csv_is_invalid_input(tmp_path, capsys, header, line,
                                                 message):
     samples = tmp_path / "samples.csv"

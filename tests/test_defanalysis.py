@@ -6,6 +6,7 @@ import pytest
 
 from defield import defanalysis
 from defield.defanalysis import (
+    CSV_CHUNK,
     LABEL_G,
     LABEL_N,
     LABEL_R,
@@ -258,29 +259,35 @@ class TestPool:
 
 def test_samples_csv_roundtrip_byte_identical(tmp_path):
     rng = np.random.default_rng(9)
-    # an empty region, and regions that end on and across 1024-value writes
-    sizes = {"U": 10, "R": 0, "G": 2048, "N": 3000}
-    s = RegionSamples({r: rng.uniform(0.5, 2.0, size=n) for r, n in sizes.items()})
+    # an empty region, regions that end on and across CSV_CHUNK-value
+    # writes, and values whose repr switches between its fixed and
+    # exponent forms or is the shortest round-trip of a long binary
+    edges = [1e-05, 1e16, 5e-324, 0.1, 1.0, float(np.finfo(np.float32).max)]
+    sizes = {"U": 10, "R": 0, "G": CSV_CHUNK, "N": 2 * CSV_CHUNK + 1}
+    values = {r: rng.uniform(0.5, 2.0, size=n) for r, n in sizes.items()}
+    values["U"] = np.concatenate([edges, values["U"]])
+    s = RegionSamples(values)
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_samples_csv(p1, s)
     lines = [f"{r},{float(v)!r}\n" for r in "URGN" for v in s.samples[r]]
     assert p1.read_text() == "label,j_value\n" + "".join(lines)
     back = read_samples_csv(p1)
     for region in "URGN":
-        assert np.array_equal(back.samples[region], s.samples[region])
+        assert back.samples[region].tobytes() == s.samples[region].tobytes()
     write_samples_csv(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 @pytest.mark.parametrize("body, expected", [
     (b"U,1.0\n\nR,0.9\n", {"U": [1.0], "R": [0.9]}),
+    (b"U,1.0\n \t\nR,0.9\n", {"U": [1.0], "R": [0.9]}),
     (b"U,1.0\r\nR,0.9\r\n", {"U": [1.0], "R": [0.9]}),
     (b" U,1.0 \nR, 0.9\n", {"U": [1.0], "R": [0.9]}),
     (b"U,1.0\nR,0.9", {"U": [1.0], "R": [0.9]}),
     (b"N,1.5\nU,1.0\nN,0.5\n", {"U": [1.0], "N": [1.5, 0.5]}),
     (b"", {}),
-], ids=["blank-line", "crlf", "spaces", "no-final-newline", "interleaved",
-        "header-only"])
+], ids=["blank-line", "whitespace-line", "crlf", "spaces", "no-final-newline",
+        "interleaved", "header-only"])
 def test_samples_csv_reader_accepts(tmp_path, body, expected):
     header = b"label,j_value\r\n" if b"\r\n" in body else b"label,j_value\n"
     path = tmp_path / "samples.csv"

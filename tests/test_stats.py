@@ -11,6 +11,7 @@ from scipy import stats as scipy_stats
 
 from defield.grids import ValidationError
 from defield.stats import (
+    CHUNK_INDICES,
     Contingency2x2,
     SummaryStats,
     bootstrap_ci,
@@ -108,6 +109,25 @@ class TestBootstrapCI:
         samples = np.random.default_rng(n).normal(1.0, 0.1, size=n)
         ci = bootstrap_ci(samples, b=b, seed=11)
         assert (ci.lo.hex(), ci.hi.hex()) == self.GOLDEN[(n, b)]
+
+    @pytest.mark.parametrize("b", [100, 1000, 1001])
+    @pytest.mark.parametrize("n", [1, 2, 335, CHUNK_INDICES, CHUNK_INDICES + 1])
+    def test_block_means_match_per_resample_means(self, n, b):
+        """Each row of a chunk's gathered (k, n) block reduces to the bits of
+        that resample's own mean, so the interval is the one from drawing
+        and averaging one resample at a time."""
+        samples = np.random.default_rng(n).normal(1.0, 0.1, size=n)
+        rng = np.random.default_rng(11)
+        k = max(1, CHUNK_INDICES // n)
+        block, single = [], []
+        for start in range(0, b, k):
+            indices = rng.integers(0, n, size=(min(k, b - start), n))
+            block.append(samples[indices].mean(axis=1))
+            single.extend(samples[row].mean() for row in indices)
+        assert np.concatenate(block).tobytes() == np.array(single).tobytes()
+        lo, hi = np.quantile(single, [0.025, 0.975])
+        ci = bootstrap_ci(samples, b=b, seed=11)
+        assert (ci.lo.hex(), ci.hi.hex()) == (float(lo).hex(), float(hi).hex())
 
     def test_leaves_no_thread_behind(self):
         # a helper thread that outlives the call would be inherited, dead,
