@@ -126,18 +126,29 @@ def require_same_geometry(a, b) -> None:
 
 
 def _sample_many(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
-    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...)."""
+    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...);
+    each component is sampled into its plane of one preallocated array."""
     # mode="nearest" extends edges, which for order<=1 equals clamping the
     # coordinates to [0, dim-1].
-    if data.ndim == 4:
-        return np.stack([_sample_many(comp, coords, order) for comp in data])
-    return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
+    if data.ndim == 3:
+        return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
+    out = np.empty((len(data), *coords.shape[1:]), dtype=data.dtype)
+    for comp, plane in zip(data, out):
+        ndimage.map_coordinates(comp, coords, output=plane, order=order,
+                                mode="nearest")
+    return out
 
 
 def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
     """Sample data (scalar or 3-component) through the mapping z - disp(z),
-    building the coordinate grid once for all components."""
-    coords = np.indices(disp.shape[1:], dtype=np.float32) - disp
+    building the coordinate grid once for all components: each axis's
+    coordinates are its index, broadcast from one arange, minus that
+    component of disp, written into one buffer."""
+    coords = np.empty(disp.shape, dtype=np.float32)
+    for axis, n in enumerate(disp.shape[1:]):
+        index = np.arange(n, dtype=np.float32).reshape(
+            [n if i == axis else 1 for i in range(3)])
+        np.subtract(index, disp[axis], out=coords[axis])
     return _sample_many(data, coords, order)
 
 
@@ -166,26 +177,39 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _smooth_array(arr: np.ndarray, sigma: float) -> np.ndarray:
+def _smooth_array(arr: np.ndarray, sigma: float, out=None) -> np.ndarray:
+    """Separable Gaussian smoothing, one pass per axis; the last pass writes
+    into `out` when it is given (sigma > 0 only)."""
     if sigma == 0:
         return arr.copy()
     kernel = gaussian_kernel1d(sigma)
-    out = arr
     for axis in range(arr.ndim):
-        out = ndimage.correlate1d(out, kernel, axis=axis, mode="nearest")
-    return out
+        last = axis == arr.ndim - 1
+        arr = ndimage.correlate1d(arr, kernel, axis=axis, mode="nearest",
+                                  output=out if last else None)
+    return arr
 
 
 def _smooth_field_array(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Per-component smoothing of a (3, nx, ny, nz) array; sigma=0 returns arr."""
+    """Per-component smoothing of a (3, nx, ny, nz) array into one new
+    array; sigma=0 returns arr."""
     if sigma == 0:
         return arr
-    return np.stack([_smooth_array(arr[c], sigma) for c in range(3)])
+    out = np.empty_like(arr)
+    for comp, plane in zip(arr, out):
+        _smooth_array(comp, sigma, out=plane)
+    return out
 
 
 def _max_norm(arr: np.ndarray) -> float:
-    """Largest vector length of a (3, nx, ny, nz) array, in float64."""
-    return float(np.sqrt((arr.astype(np.float64) ** 2).sum(axis=0).max()))
+    """Largest vector length of a (3, nx, ny, nz) array, in float64: the
+    squared components are summed into one float64 array in component
+    order, as .sum(axis=0) adds them (each float32 square is exact)."""
+    total = np.square(arr[0], dtype=np.float64)
+    square = np.empty_like(total)
+    for comp in arr[1:]:
+        total += np.square(comp, out=square, dtype=np.float64)
+    return float(np.sqrt(total.max()))
 
 
 def gaussian_smooth(obj, sigma: float):

@@ -36,6 +36,21 @@ half, the source for the backward half) and shared by every state of the
 level, the identity check and the final never-worse-than-identity check;
 a state smooths only its warped moving image.
 
+What a state holds, in float32 bytes per voxel: its velocity v, exp(v),
+exp(-v) and the warped source (40), each half's local statistics (mbar,
+A, B and the valid mask, 26 in all) until its direction is built from
+them, and then the fluid-smoothed direction (12). A candidate is a state
+built from smooth(v + s d / max|d|). While it is built, each half holds
+the scaled velocity, the sampling coordinates and the sampled output of
+one squaring step (36). The grid kernels write into the arrays they
+return, and the backward half scales v by -2^-steps instead of negating
+a copy. A rejected candidate is freed before the next one is built, and
+a level's last state drops its statistics and its direction, so the
+final never-worse-than-identity check sees only the final state and the
+target's fixed statistics. register peaks while a candidate's two halves
+run, next to the state (52), the level's fixed statistics (16) and the
+candidate velocity (12).
+
 Scaling and squaring takes the fewest steps that keep the scaled velocity
 below half a voxel (auto_exp_steps, as in Arsigny et al., MICCAI 2006);
 exp_steps is only a lower bound on that count.
@@ -166,7 +181,9 @@ def compose(f: VectorField, g: VectorField) -> VectorField:
 
 
 def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g + _pull(f, g)
+    out = _pull(f, g)
+    out += g
+    return out
 
 
 def exp_velocity(v: VectorField, exp_steps: int) -> VectorField:
@@ -201,8 +218,9 @@ def _lcc(m, eps_m, fixed, eps_f, sigma):
     a = _smooth_array(mbar * fbar, sigma)
     b = _smooth_array(mbar * mbar, sigma)
     valid = (b > eps_m) & (c > eps_f)
-    rho2 = np.zeros_like(a)
-    np.divide(a * a, b * c, out=rho2, where=valid)
+    rho2 = a * a
+    np.divide(rho2, b * c, out=rho2, where=valid)
+    np.copyto(rho2, 0.0, where=~valid)
     np.clip(rho2, 0.0, 1.0, out=rho2)
     return float(rho2.mean(dtype=np.float64)), (mbar, fbar, a, b, c, valid)
 
@@ -214,8 +232,11 @@ def _lcc_force(stats, sigma) -> np.ndarray:
     r2 = np.zeros_like(a)
     np.divide(a * a, b * b * c, out=r2, where=valid)
     k = 2.0 * (fbar * _smooth_array(r1, sigma) - mbar * _smooth_array(r2, sigma))
-    grads = np.gradient(mbar, axis=(0, 1, 2))
-    return np.stack([-k * grads[axis] for axis in range(3)])
+    np.negative(k, out=k)
+    force = np.empty((3, *k.shape), dtype=k.dtype)
+    for axis, plane in enumerate(force):
+        np.multiply(k, np.gradient(mbar, axis=axis), out=plane)
+    return force
 
 
 def lcc_similarity(a: Volume, b: Volume, lcc_sigma: float) -> float:
@@ -248,13 +269,16 @@ class _LevelState:
         steps = auto_exp_steps(_max_norm(v), params.exp_steps)
         sigma = params.lcc_sigma
 
-        def half(vel, moving, eps_m, fixed, eps_f):
-            disp = _exp_array(vel, steps)
+        # the backward half exponentiates -v by scaling v by -2^-steps, so
+        # it builds no negated copy (the call is positional: the tests count
+        # _exp_array calls through a wrapper that passes *args only)
+        def half(sign, moving, eps_m, fixed, eps_f):
+            disp = _exp_array(v, steps, sign)
             warped = _pull(moving, disp)
             return (disp, warped, *_lcc(warped, eps_m, fixed, eps_f, sigma))
 
-        backward = pool.submit(half, -v, *bwd_in)
-        self.fwd, self.warped_src, e_f, self._stats_f = half(v, *fwd_in)
+        backward = pool.submit(half, -1.0, *bwd_in)
+        self.fwd, self.warped_src, e_f, self._stats_f = half(1.0, *fwd_in)
         self.bwd, _, e_b, self._stats_b = backward.result()
         self.energy = 0.5 * (e_f + e_b)
         self._direction = None
@@ -264,15 +288,25 @@ class _LevelState:
         if self._direction is None:
             sigma = self.params.lcc_sigma
             backward = self._pool.submit(_lcc_force, self._stats_b, sigma)
-            u = 0.5 * (_lcc_force(self._stats_f, sigma) - backward.result())
+            u = _lcc_force(self._stats_f, sigma)
+            u -= backward.result()
+            u *= 0.5
+            del backward
+            self._stats_f = self._stats_b = None
             u = _smooth_field_array(u, self.params.fluid_sigma)
             self._direction = u, _max_norm(u)
-            self._stats_f = self._stats_b = None
         return self._direction
 
+    def release(self) -> None:
+        """Drop the local statistics and the direction, keeping the velocity,
+        its exponentials and the warped source."""
+        self._stats_f = self._stats_b = self._direction = None
 
-def _exp_array(v: np.ndarray, steps: int) -> np.ndarray:
-    d = v / float(2 ** steps)
+
+def _exp_array(v: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
+    """exp(sign * v) by scaling and squaring; sign is 1 or -1, and dividing
+    by -2^steps negates exactly as dividing -v by 2^steps does."""
+    d = v / (sign * float(2 ** steps))
     for _ in range(steps):
         d = _compose_arrays(d, d)
     return d
@@ -328,10 +362,12 @@ def register(source: Volume, target: Volume,
             # coarse-level velocities that do not beat the identity are discarded
             e_zero = None
             if level > 0 and _max_norm(v) > 0:
-                e_zero, _ = _lcc(*fwd_in, sigma)
+                e_zero = _lcc(*fwd_in, sigma)[0]
                 if state.energy < e_zero:
                     state = _LevelState(np.zeros_like(v), fwd_in, bwd_in, params,
                                         pool)
+
+            del v  # only the state keeps the starting velocity
 
             step = params.step_scale
             # the energy of the last rejected candidate on the state's direction
@@ -340,8 +376,10 @@ def register(source: Volume, target: Volume,
                 d, dmax = state.direction()
                 if dmax < 1e-12:
                     break
-                v_cand = _smooth_field_array(state.v + d * (step / dmax),
-                                             params.diffusion_sigma)
+                # v + s d / max|d|, summed in the scaled direction's array
+                v_cand = d * (step / dmax)
+                v_cand += state.v
+                v_cand = _smooth_field_array(v_cand, params.diffusion_sigma)
                 cand = _LevelState(v_cand, fwd_in, bwd_in, params, pool)
                 accepted = cand.energy >= state.energy - 1e-12
                 trace.append(TraceEntry(level, iteration,
@@ -358,28 +396,31 @@ def register(source: Volume, target: Volume,
                     if rejected is not None and cand.energy <= rejected:
                         break
                     rejected = cand.energy
-                    del cand  # free its arrays before the next candidate is built
+                    # free its arrays before the next candidate is built
+                    del cand, v_cand
                     step *= 0.5
                     if step < MIN_STEP_FRACTION * params.step_scale:
                         break
+            # nothing reads the last rejected candidate or a direction again
+            d = cand = v_cand = None
+            state.release()
+        # the final check reads only the forward half's inputs
+        del bwd_in
 
-    geometry = source.geometry
-    transform = SymmetricTransform(
-        VectorField(geometry, state.v),
-        VectorField(geometry, state.fwd),
-        VectorField(geometry, state.bwd),
-    )
     # contract: never worse than the identity alignment, measured as
     # lcc_similarity would against the finest level's fixed statistics; the
     # identity energy is the finest level's e_zero when that was computed
     sim_before = e_zero if e_zero is not None else _lcc(*fwd_in, sigma)[0]
     eps_w = VARIANCE_FLOOR * float(state.warped_src.var(dtype=np.float64))
-    sim_after, _ = _lcc(state.warped_src, eps_w, fwd_in[2], eps_t, sigma)
+    sim_after = _lcc(state.warped_src, eps_w, fwd_in[2], eps_t, sigma)[0]
+    geometry = source.geometry
     if sim_after < sim_before:
         zero = VectorField.zero(geometry)
-        transform = SymmetricTransform(zero, zero, zero)
         trace.identity_fallback = True
-    return transform, trace
+        return SymmetricTransform(zero, zero, zero), trace
+    return SymmetricTransform(VectorField(geometry, state.v),
+                              VectorField(geometry, state.fwd),
+                              VectorField(geometry, state.bwd)), trace
 
 
 def save_transform(dirpath, transform: SymmetricTransform,

@@ -1,8 +1,15 @@
 """Analytic fields with closed-form Jacobians, used as test oracles."""
 import numpy as np
+from scipy import ndimage
 
 from defield.defanalysis import JacobianMap
-from defield.grids import GridGeometry, ValidationError, VectorField, Volume
+from defield.grids import (
+    GridGeometry,
+    ValidationError,
+    VectorField,
+    Volume,
+    gaussian_kernel1d,
+)
 from defield.phantom import RadialComponent, RadialMap, _radius_grid, grid_center
 
 
@@ -79,3 +86,74 @@ def whole_grid_jacobian(disp: VectorField) -> np.ndarray:
 def mean_norm(field: VectorField) -> float:
     """Mean vector length of a field, in float64."""
     return float(np.sqrt((field.data.astype(np.float64) ** 2).sum(axis=0)).mean())
+
+
+# The grid kernels as whole-array expressions, each building its own
+# temporaries: the references that the kernels writing into preallocated
+# outputs must match bit for bit.
+
+def stacked_pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
+    """Sample data at np.indices - disp, each component into its own array,
+    then np.stack them."""
+    coords = np.indices(disp.shape[1:], dtype=np.float32) - disp
+    if data.ndim == 4:
+        return np.stack([ndimage.map_coordinates(comp, coords, order=order,
+                                                 mode="nearest")
+                         for comp in data])
+    return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
+
+
+def added_compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g + f pulled through g."""
+    return g + stacked_pull(f, g)
+
+
+def negated_exp(v: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
+    """Scaling and squaring of v, or of a negated copy -v when sign < 0."""
+    d = (-v if sign < 0 else v) / float(2 ** steps)
+    for _ in range(steps):
+        d = added_compose(d, d)
+    return d
+
+
+def widened_max_norm(arr: np.ndarray) -> float:
+    """Largest vector length from the widened squares summed over axis 0."""
+    return float(np.sqrt((arr.astype(np.float64) ** 2).sum(axis=0).max()))
+
+
+def _smoothed(arr: np.ndarray, sigma: float) -> np.ndarray:
+    kernel = gaussian_kernel1d(sigma)
+    for axis in range(arr.ndim):
+        arr = ndimage.correlate1d(arr, kernel, axis=axis, mode="nearest")
+    return arr
+
+
+def stacked_smooth_field(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """Per-component Gaussian smoothing, np.stack'ed."""
+    return np.stack([_smoothed(comp, sigma) for comp in arr])
+
+
+def zero_filled_lcc(m, eps_m, fixed, eps_f, sigma) -> float:
+    """Mean squared local correlation, with rho^2 divided from a*a into a
+    zero-filled array."""
+    fbar, c = fixed
+    mbar = m - _smoothed(m, sigma)
+    a = _smoothed(mbar * fbar, sigma)
+    b = _smoothed(mbar * mbar, sigma)
+    valid = (b > eps_m) & (c > eps_f)
+    rho2 = np.zeros_like(a)
+    np.divide(a * a, b * c, out=rho2, where=valid)
+    np.clip(rho2, 0.0, 1.0, out=rho2)
+    return float(rho2.mean(dtype=np.float64))
+
+
+def stacked_lcc_force(stats, sigma: float) -> np.ndarray:
+    """The LCC force as np.stack of -k times each np.gradient component."""
+    mbar, fbar, a, b, c, valid = stats
+    r1 = np.zeros_like(a)
+    np.divide(a, b * c, out=r1, where=valid)
+    r2 = np.zeros_like(a)
+    np.divide(a * a, b * b * c, out=r2, where=valid)
+    k = 2.0 * (fbar * _smoothed(r1, sigma) - mbar * _smoothed(r2, sigma))
+    grads = np.gradient(mbar, axis=(0, 1, 2))
+    return np.stack([-k * grads[axis] for axis in range(3)])

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -597,16 +598,67 @@ def test_registration_arrays_stay_float32(monkeypatch):
 
 
 def test_register_peak_memory_per_voxel():
-    """One register on a 32^3 phantom pair allocates at most 240 bytes per
-    voxel at its tracemalloc peak: a rejected candidate is freed before the
-    next one is built."""
-    grid = GridGeometry((32, 32, 32))
-    weeks = synth_cohort(PhantomSpec(grid=grid, radius=6.0, seed=7), 1)[0].weeks
-    tracemalloc.start()
-    try:
-        _, trace = register(weeks[0].volume, weeks[1].volume)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert any(not e.accepted for e in trace.entries)
-    assert peak / grid.n_voxels <= 240
+    """One register on a 32^3 and on a 64^3 phantom pair allocates at most
+    190 bytes per voxel at its tracemalloc peak: the grid kernels write
+    into the arrays they return, the backward half scales v by -2^-steps
+    instead of negating a copy, and a rejected candidate is freed before
+    the next one is built."""
+    for n in (32, 64):
+        grid = GridGeometry((n, n, n))
+        weeks = synth_cohort(PhantomSpec(grid=grid, radius=6.0, seed=7), 1)[0].weeks
+        tracemalloc.start()
+        try:
+            _, trace = register(weeks[0].volume, weeks[1].volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(not e.accepted for e in trace.entries)
+        assert peak / grid.n_voxels <= 190, n
+
+
+def test_only_the_final_state_survives_to_the_final_check(monkeypatch):
+    """When the final never-worse-than-identity check's _lcc runs, every
+    other state (the last rejected candidate among them), every local
+    statistic and every direction is already freed: only the final state's
+    velocity, exponentials and warped source are alive."""
+    states, directions, snapshots = [], [], []
+
+    class Recorded(registration._LevelState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            # mbar, A, B and the valid mask of each half; fbar and C are
+            # the level's, shared by every state
+            stats = [arr for half in (self._stats_f, self._stats_b)
+                     for arr in (half[0], half[2], half[3], half[5])]
+            states.append((weakref.ref(self.warped_src),
+                           [weakref.ref(a) for a in (self.v, self.fwd, self.bwd)],
+                           [weakref.ref(a) for a in stats]))
+
+        def direction(self):
+            d, dmax = super().direction()
+            directions.append(weakref.ref(d))
+            return d, dmax
+
+    lcc = registration._lcc
+
+    def recorded_lcc(m, *args):
+        snapshots.append((
+            [(warped() is m, warped() is not None,
+              [r() is not None for r in arrays], [r() is not None for r in stats])
+             for warped, arrays, stats in states],
+            [r() is not None for r in directions]))
+        return lcc(m, *args)
+
+    monkeypatch.setattr(registration, "_LevelState", Recorded)
+    monkeypatch.setattr(registration, "_lcc", recorded_lcc)
+    _, trace = register(*_small_pair(45), SMALL_PARAMS)
+    # the finest level ends on a rejected candidate
+    assert not trace.entries[-1].accepted and trace.entries[-1].level == 1
+    final_states, final_directions = snapshots[-1]
+    # one starting state per level and one state per candidate
+    assert len(final_states) == 1 + len(trace.entries) + 1
+    assert [checked for checked, *_ in final_states].count(True) == 1
+    for checked, warped_alive, arrays_alive, stats_alive in final_states:
+        assert arrays_alive == [checked] * 3 and warped_alive == checked
+        assert not any(stats_alive)
+    assert directions and not any(final_directions)
