@@ -209,9 +209,13 @@ def cmd_regions(args) -> int:
     mask_prev = volio.read_mask(args.mask_prev)
     mask_next = volio.read_mask(args.mask_next)
     field = volio.read_field(args.field)
-    warped = warp_mask(mask_prev, field)
-    part = partition_regions(warped, mask_next, week_index=args.week)
-    samples = collect_samples(jacobian_map(field), part)
+    part = partition_regions(warp_mask(mask_prev, field), mask_next, week_index=args.week)
+    # each input is freed once read for the last time: the masks before the
+    # Jacobian's slab temporaries, the field before the float64 samples
+    del mask_prev, mask_next
+    jmap = jacobian_map(field)
+    del field
+    samples = collect_samples(jmap, part)
     out = _outdir(args)
     defanalysis.write_partition(os.path.join(out, "partition.vol"), part)
     defanalysis.write_samples_csv(os.path.join(out, "samples.csv"), samples)

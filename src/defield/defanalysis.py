@@ -24,6 +24,7 @@ from .grids import (
     VectorField,
     Volume,
     _frozen,
+    _handover,
     require_same_geometry,
 )
 
@@ -89,29 +90,54 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
 
     Central differences at interior voxels, one-sided at faces. A zero
     field yields J = 1 everywhere. The differences are local, so the map is
-    built in x-slabs of SLAB_PLANES planes with a one-plane halo, bit for
-    bit equal to the whole-grid computation.
+    built in x-slabs of SLAB_PLANES planes with a one-plane halo, each
+    slab's float64 determinant cast into the float32 result: bit for bit
+    the whole-grid computation followed by one cast.
     """
     dims = disp.geometry.dims
     if any(d < 3 for d in dims):
         raise ValidationError(f"jacobian_map needs dims >= 3, got {dims}")
-    det = np.empty(dims)
+    jac = np.empty(dims, dtype=np.float32)
     for x0 in range(0, dims[0], SLAB_PLANES):
         x1 = min(x0 + SLAB_PLANES, dims[0])
-        lo = max(x0 - 1, 0)
-        # m[k][l] = d(phi_k)/d(z_l) = delta_kl - d(g_k)/d(z_l)
-        m = [[None] * 3 for _ in range(3)]
-        for k in range(3):
-            slab = disp.data[k, lo:x1 + 1].astype(np.float64)
-            grads = np.gradient(slab, axis=(0, 1, 2))
-            for l in range(3):
-                m[k][l] = (1.0 if k == l else 0.0) - grads[l][x0 - lo:x1 - lo]
-        det[x0:x1] = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    return JacobianMap(disp.geometry, det)
+        jac[x0:x1] = _slab_determinant(disp.data, x0, x1)
+    return JacobianMap(disp.geometry, _handover(jac))
+
+
+def _derivative_row(data: np.ndarray, k: int, x0: int, x1: int) -> list[np.ndarray]:
+    """m[k][l] = d(phi_k)/d(z_l) = delta_kl - d(g_k)/d(z_l) on the x-planes
+    x0:x1, in float64. Only the x-derivative reads the halo planes."""
+    lo = max(x0 - 1, 0)
+    slab = data[k, lo:x1 + 1].astype(np.float64)
+    inner = slice(x0 - lo, x1 - lo)
+    row = []
+    for l in range(3):
+        grad = (np.gradient(slab, axis=0)[inner] if l == 0
+                else np.gradient(slab[inner], axis=l))
+        row.append(np.subtract(1.0 if k == l else 0.0, grad, out=grad))
+    return row
+
+
+def _slab_determinant(data: np.ndarray, x0: int, x1: int) -> np.ndarray:
+    """The cofactor expansion m00 A - m01 B + m02 C of the x-planes x0:x1,
+    with A = m11 m22 - m12 m21, B = m10 m22 - m12 m20 and
+    C = m10 m21 - m11 m20: each product and difference the whole-grid
+    expression's, in its order, written in place into a factor that
+    nothing reads again."""
+    m10, m11, m12 = _derivative_row(data, 1, x0, x1)
+    m20, m21, m22 = _derivative_row(data, 2, x0, x1)
+    a = m11 * m22
+    a -= m12 * m21
+    b = np.multiply(m22, m10, out=m22)
+    b -= np.multiply(m12, m20, out=m12)
+    c = np.multiply(m21, m10, out=m21)
+    c -= np.multiply(m20, m11, out=m20)
+    del m10, m11, m12, m20, m21, m22
+    m00, m01, m02 = _derivative_row(data, 0, x0, x1)
+    a *= m00
+    a -= np.multiply(b, m01, out=b)
+    a += np.multiply(c, m02, out=c)
+    return a
 
 
 def partition_regions(tumor_warped: Mask, tumor_next: Mask,

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+WARP_SLAB_PLANES = 8  # x-planes of sample coordinates warp_mask holds at once
+
 
 class DefieldError(Exception):
     """Base class for errors raised by this package."""
@@ -60,16 +62,27 @@ class GridGeometry:
 
 def _frozen(data, dtype, shape, what: str, finite: bool = False,
             max_value: int | None = None) -> np.ndarray:
-    """data as a read-only array of dtype and shape, copied when it is the
-    caller's own array; raises ValidationError naming `what`."""
+    """data as a read-only array of dtype and shape; raises ValidationError
+    naming `what`. An array handed over (one that owns its memory and is
+    read-only already, see _handover) is adopted as it stands; the caller's
+    writeable array, or a view into memory it does not own, is copied."""
     arr = np.asarray(data, dtype=dtype)
     if arr.shape != shape:
         raise ValidationError(f"{what} data shape {arr.shape} != {shape}")
-    if finite and not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and reach +-inf, with no per-voxel temporary
+    if finite and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValidationError(f"{what} contains non-finite values")
     if max_value is not None and arr.max(initial=0) > max_value:
         raise ValidationError(f"{what} values must be in 0..{max_value}")
-    arr = arr.copy() if arr is data else arr
+    if arr is data and (arr.flags.writeable or not arr.flags.owndata):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _handover(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, for a step that built it and keeps no other
+    reference: a container adopts it without a copy."""
     arr.flags.writeable = False
     return arr
 
@@ -125,43 +138,56 @@ def require_same_geometry(a, b) -> None:
             f"geometry mismatch: {a.geometry} vs {b.geometry}")
 
 
-def _sample_many(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
-    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...);
-    each component is sampled into its plane of one preallocated array."""
+def _sample_many(data: np.ndarray, coords: np.ndarray, order: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...)
+    into out, or into one new array; each component is sampled into its
+    plane."""
+    if out is None:
+        out = np.empty((*data.shape[:-3], *coords.shape[1:]), dtype=data.dtype)
     # mode="nearest" extends edges, which for order<=1 equals clamping the
     # coordinates to [0, dim-1].
-    if data.ndim == 3:
-        return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
-    out = np.empty((len(data), *coords.shape[1:]), dtype=data.dtype)
-    for comp, plane in zip(data, out):
+    for comp, plane in zip(data, out) if data.ndim == 4 else [(data, out)]:
         ndimage.map_coordinates(comp, coords, output=plane, order=order,
                                 mode="nearest")
     return out
 
 
+def _coords(disp: np.ndarray, x0: int, x1: int) -> np.ndarray:
+    """The float32 coordinates z - disp(z) of the x-planes x0:x1: each
+    axis's coordinates are its index, broadcast from one arange, minus that
+    component of disp, written into one buffer."""
+    part = disp[:, x0:x1]
+    coords = np.empty(part.shape, dtype=np.float32)
+    for axis, n in enumerate(part.shape[1:]):
+        start = x0 if axis == 0 else 0
+        index = np.arange(start, start + n, dtype=np.float32).reshape(
+            [n if i == axis else 1 for i in range(3)])
+        np.subtract(index, part[axis], out=coords[axis])
+    return coords
+
+
 def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
     """Sample data (scalar or 3-component) through the mapping z - disp(z),
-    building the coordinate grid once for all components: each axis's
-    coordinates are its index, broadcast from one arange, minus that
-    component of disp, written into one buffer."""
-    coords = np.empty(disp.shape, dtype=np.float32)
-    for axis, n in enumerate(disp.shape[1:]):
-        index = np.arange(n, dtype=np.float32).reshape(
-            [n if i == axis else 1 for i in range(3)])
-        np.subtract(index, disp[axis], out=coords[axis])
-    return _sample_many(data, coords, order)
+    building the coordinate grid once for all components."""
+    return _sample_many(data, _coords(disp, 0, disp.shape[1]), order)
 
 
 def warp_volume(vol: Volume, disp: VectorField) -> Volume:
     """Resample vol through the mapping z - g(z) (trilinear)."""
     require_same_geometry(vol, disp)
-    return Volume(vol.geometry, _pull(vol.data, disp.data, order=1))
+    return Volume(vol.geometry, _handover(_pull(vol.data, disp.data, order=1)))
 
 
 def warp_mask(mask: Mask, disp: VectorField) -> Mask:
-    """Resample a binary mask through z - g(z) (nearest neighbor)."""
+    """Resample a binary mask through z - g(z) (nearest neighbor), in
+    x-slabs of WARP_SLAB_PLANES planes of coordinates."""
     require_same_geometry(mask, disp)
-    return Mask(mask.geometry, _pull(mask.data, disp.data, order=0))
+    out = np.empty(mask.geometry.dims, dtype=np.uint8)
+    for x0 in range(0, len(out), WARP_SLAB_PLANES):
+        x1 = x0 + WARP_SLAB_PLANES
+        _sample_many(mask.data, _coords(disp.data, x0, x1), 0, out=out[x0:x1])
+    return Mask(mask.geometry, _handover(out))
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -250,4 +276,6 @@ def upsample_field(field: VectorField, target: GridGeometry) -> VectorField:
     coarse field at f/2.
     """
     coords = np.indices(target.dims, dtype=np.float32) * 0.5
-    return VectorField(target, 2.0 * _sample_many(field.data, coords, order=1))
+    out = _sample_many(field.data, coords, order=1)
+    out *= 2.0
+    return VectorField(target, _handover(out))

@@ -80,6 +80,7 @@ from .grids import (
     ValidationError,
     VectorField,
     Volume,
+    _handover,
     _max_norm,
     _pull,
     _smooth_array,
@@ -418,9 +419,10 @@ def register(source: Volume, target: Volume,
         zero = VectorField.zero(geometry)
         trace.identity_fallback = True
         return SymmetricTransform(zero, zero, zero), trace
-    return SymmetricTransform(VectorField(geometry, state.v),
-                              VectorField(geometry, state.fwd),
-                              VectorField(geometry, state.bwd)), trace
+    # the fields pass to the transform without a copy: nothing else holds them
+    return SymmetricTransform(VectorField(geometry, _handover(state.v)),
+                              VectorField(geometry, _handover(state.fwd)),
+                              VectorField(geometry, _handover(state.bwd))), trace
 
 
 def save_transform(dirpath, transform: SymmetricTransform,

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 
-from .grids import DefieldError, GridGeometry, Mask, VectorField, Volume
+from .grids import DefieldError, GridGeometry, Mask, VectorField, Volume, _handover
 
 
 class VolFormatError(DefieldError):
@@ -28,6 +29,13 @@ class VolFormatError(DefieldError):
 
 
 _DTYPES = {"float32-le": np.dtype("<f4"), "uint8": np.dtype("u1")}
+# z-planes per slab that a read or a write holds. The in-memory arrays are
+# z-fastest, so each slab covers 12 consecutive values of every z-row: three
+# quarters of a 64-byte line of float32, which keeps the transposing copy
+# near the speed of one over the whole array (thinner slabs touch each line
+# more often: 4 planes took twice as long at 64^3)
+SLAB_PLANES = 12
+HEADER_BLOCK = 4096  # bytes per read while the header's blank line is sought
 
 
 def _fmt_floats(values) -> str:
@@ -46,11 +54,26 @@ def _header(geometry: GridGeometry, dtype: str, components: int | None) -> bytes
     return ("\n".join(lines) + "\n\n").encode("ascii")
 
 
+def _z_slabs(shape, dtype):
+    """(z-slice, buffer) for each slab of SLAB_PLANES z-planes of an array of
+    shape (..., nz). The buffer holds the slab as stored, with the array's
+    axes reversed (components fastest); one buffer serves every slab."""
+    nz = shape[-1]
+    stored = np.empty((min(SLAB_PLANES, nz), *shape[-2::-1]), dtype=dtype)
+    for z0 in range(0, nz, SLAB_PLANES):
+        z1 = min(z0 + SLAB_PLANES, nz)
+        yield slice(z0, z1), stored[:z1 - z0]
+
+
 def _write(path, geometry, dtype: str, components: int | None, arr) -> None:
-    """Header, then arr cast to the little-endian DTYPE in x-fastest order."""
+    """Header, then arr cast to the little-endian DTYPE in x-fastest order,
+    one z-slab at a time (z varies slowest on disk)."""
+    arr = np.asarray(arr)
     with open(path, "wb") as fh:
         fh.write(_header(geometry, dtype, components))
-        fh.write(np.asarray(arr, dtype=_DTYPES[dtype]).tobytes(order="F"))
+        for zs, slab in _z_slabs(arr.shape, _DTYPES[dtype]):
+            np.copyto(slab.T, arr[..., zs], casting="unsafe")
+            fh.write(slab)
 
 
 def write_volume(path, vol: Volume) -> None:
@@ -87,7 +110,20 @@ def write_csv(path, header: str, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _read_header(fh) -> bytes:
+    """The file's bytes up to and including its first blank line (or all of
+    them when it has none), read a block at a time."""
+    raw = bytearray()
+    while True:
+        block = fh.read(HEADER_BLOCK)
+        raw += block
+        if not block or b"\n\n" in raw[-len(block) - 1:]:
+            return bytes(raw)
+
+
 def _parse_header(path, raw: bytes):
+    """(geometry, dtype, components, payload offset) of a header that starts
+    raw."""
     if raw.endswith(b"\r\n", 0, raw.find(b"\n") + 1):
         raise VolFormatError(f"{path}: header has CRLF line endings, expected LF")
     end = raw.find(b"\n\n")
@@ -122,26 +158,32 @@ def _parse_header(path, raw: bytes):
             raise VolFormatError(f"{path}: bad COMPONENTS") from exc
         if components != 3:
             raise VolFormatError(f"{path}: only COMPONENTS 3 supported")
-    return geometry, dtype, components, raw[end + 2:]
+    return geometry, dtype, components, end + 2
 
 
 def read_raw(path):
     """Parse any .vol file: (geometry, array, dtype_name, components).
 
     Scalar arrays come back with shape (nx, ny, nz); vector payloads with
-    shape (3, nx, ny, nz).
+    shape (3, nx, ny, nz); both C-ordered and read-only. The header and the
+    payload's length are checked before the array is allocated; the payload
+    is then read one z-slab at a time into the array, in place.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    geometry, dtype, components, payload = _parse_header(path, raw)
-    count = geometry.n_voxels * (components or 1)
-    expected = count * _DTYPES[dtype].itemsize
-    if len(payload) != expected:
-        raise VolFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype=_DTYPES[dtype])
-    shape = (components, *geometry.dims) if components else geometry.dims
-    return geometry, flat.reshape(shape, order="F"), dtype, components
+        geometry, dtype, components, offset = _parse_header(path, _read_header(fh))
+        shape = (components, *geometry.dims) if components else geometry.dims
+        item = _DTYPES[dtype]
+        expected = geometry.n_voxels * (components or 1) * item.itemsize
+        size = os.fstat(fh.fileno()).st_size - offset
+        if size != expected:
+            raise VolFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        fh.seek(offset)
+        arr = np.empty(shape, dtype=item)
+        for zs, slab in _z_slabs(shape, item):
+            if fh.readinto(slab) != slab.nbytes:
+                raise VolFormatError(f"{path}: payload ends early")
+            arr[..., zs] = slab.T
+    return geometry, _handover(arr), dtype, components
 
 
 def _read(path, dtype: str, components: int | None, what: str):

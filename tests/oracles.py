@@ -103,6 +103,16 @@ def stacked_pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarr
     return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
 
 
+def doubled_upsample(data: np.ndarray, dims) -> np.ndarray:
+    """A (3, ...) field sampled at np.indices(dims) * 0.5, each component
+    into its own array, np.stack'ed, then multiplied by 2.0 into a new
+    array."""
+    coords = np.indices(dims, dtype=np.float32) * 0.5
+    return 2.0 * np.stack([ndimage.map_coordinates(comp, coords, order=1,
+                                                   mode="nearest")
+                           for comp in data])
+
+
 def added_compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g + f pulled through g."""
     return g + stacked_pull(f, g)

@@ -683,6 +683,40 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message
     assert peak < 1 << 20
 
 
+@pytest.fixture(scope="module")
+def phantom64(tmp_path_factory):
+    out = tmp_path_factory.mktemp("phantom64")
+    assert main(["phantom", "--out", str(out), "--grid", "64", "--weeks", "2",
+                 "--patients", "1", "--seed", "7"]) == EXIT_OK
+    return out / "p00"
+
+
+def _traced_peak_per_voxel(argv, n_voxels) -> float:
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1] / n_voxels
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, bound", [("jacobian", 27), ("regions", 30)])
+def test_jacobian_and_regions_peak_memory_per_voxel(phantom64, tmp_path, capsys,
+                                                    command, bound):
+    """On a 64^3 ground-truth pair: the field read in one copy (12 B/voxel),
+    the float32 Jacobian (4 B/voxel) and one x-slab of jacobian_map's
+    float64 temporaries; regions also holds the masks and the partition,
+    and frees the field before it collects the float64 samples."""
+    field = str(phantom64 / "gt_forward00.vol")
+    argv = {"jacobian": ["jacobian", "--field", field],
+            "regions": ["regions", "--mask-prev", str(phantom64 / "week00_mask.vol"),
+                        "--mask-next", str(phantom64 / "week01_mask.vol"),
+                        "--field", field]}[command]
+    peak = _traced_peak_per_voxel([*argv, "--out", str(tmp_path)], 64 ** 3)
+    capsys.readouterr()
+    assert peak <= bound
+
+
 @pytest.mark.parametrize("header, line, message", [
     (b"label,j_value", b"U,abc", "bad j_value 'abc'"),
     (b"label,j_value", b"U,", "bad j_value ''"),

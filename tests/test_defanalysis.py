@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defield import defanalysis
 from defield.defanalysis import (
     CSV_CHUNK,
     LABEL_G,
     LABEL_N,
     LABEL_R,
     LABEL_U,
+    SLAB_PLANES,
     JacobianMap,
     RegionSamples,
+    _slab_determinant,
     collect_samples,
     jacobian_map,
     partition_regions,
@@ -103,7 +104,7 @@ SLAB_DIMS = [(3, 3, 3), (7, 5, 4), (8, 6, 5), (9, 6, 5), (17, 9, 6), (33, 10, 7)
 
 @pytest.mark.parametrize("kind", ["smoothed-random", "radial"])
 @pytest.mark.parametrize("dims", SLAB_DIMS, ids=lambda d: "x".join(map(str, d)))
-def test_slabbed_jacobian_matches_whole_grid_bitwise(dims, kind, monkeypatch):
+def test_slabbed_jacobian_matches_whole_grid_bitwise(dims, kind):
     g = GridGeometry(dims)
     if kind == "radial":
         field, _ = radial_gaussian_field(tuple((d - 1) / 2 for d in dims), 0.3,
@@ -113,12 +114,12 @@ def test_slabbed_jacobian_matches_whole_grid_bitwise(dims, kind, monkeypatch):
         field = gaussian_smooth(
             VectorField(g, rng.normal(0.0, 2.0, (3, *dims))), 1.0)
     ref = whole_grid_jacobian(field)
-    # the float64 determinant handed to JacobianMap, before its float32 cast
-    handed = []
-    monkeypatch.setattr(defanalysis, "JacobianMap", lambda geometry, det: (
-        handed.append(det) or JacobianMap(geometry, det)))
+    # each slab's float64 determinant, before its cast into the result
+    for x0 in range(0, dims[0], SLAB_PLANES):
+        x1 = min(x0 + SLAB_PLANES, dims[0])
+        assert _slab_determinant(field.data, x0, x1).tobytes() == ref[x0:x1].tobytes()
+    # the float32 result: the same bytes as the whole-grid determinant cast once
     jm = jacobian_map(field)
-    assert handed[0].tobytes() == ref.tobytes()
     assert jm.data.tobytes() == JacobianMap(g, ref).data.tobytes()
 
 
@@ -299,12 +300,12 @@ def test_samples_csv_reader_accepts(tmp_path, body, expected):
         assert got.tolist() == expected.get(region, [])
 
 
-@pytest.mark.parametrize("n, bound", [(32, 60), (64, 35)], ids=["32", "64"])
+@pytest.mark.parametrize("n, bound", [(32, 28), (64, 15)], ids=["32", "64"])
 def test_jacobian_map_peak_memory_per_voxel(n, bound):
-    """jacobian_map widens one x-slab of one field component at a time and
-    leaves the float32 conversion of its determinant to JacobianMap: the
-    whole-grid float64 determinant and its copy (12 B/voxel) plus
-    slab temporaries, which weigh less per voxel on a longer grid."""
+    """jacobian_map casts each x-slab's float64 determinant into its float32
+    result (4 B/voxel), which JacobianMap adopts without a copy; the rest
+    is one slab's float64 temporaries, which weigh less per voxel on a
+    longer grid (25.3 and 13.7 B/voxel measured at 32^3 and 64^3)."""
     g = GridGeometry((n, n, n))
     c = (n - 1) / 2
     field, _ = radial_gaussian_field((c, c, c), 0.3, 5.0 * n / 32, g)

@@ -1,5 +1,6 @@
 """Container invariants and the resampling/smoothing primitives."""
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,21 @@ def test_container_validates_and_freezes(cls, attr, dtype, shape, bad):
     assert not np.shares_memory(stored, arr)
     arr.flat[0] = 1
     assert stored.flat[0] == 0
+
+
+@pytest.mark.parametrize("cls, attr, dtype, shape, bad", CONTAINERS,
+                         ids=[c[0].__name__ for c in CONTAINERS])
+def test_container_adopts_only_an_owned_read_only_array(cls, attr, dtype, shape, bad):
+    # the caller's writeable array is copied
+    arr = np.zeros(shape, dtype=dtype)
+    assert not np.shares_memory(getattr(cls(G8, arr), attr), arr)
+    # a read-only view into memory the array does not own is copied
+    view = np.frombuffer(bytes(arr.nbytes), dtype=dtype).reshape(shape)
+    assert not view.flags.writeable and not view.flags.owndata
+    assert not np.shares_memory(getattr(cls(G8, view), attr), view)
+    # a handed-over array (owns its memory, read-only) is adopted as it is
+    owned = grids._handover(np.zeros(shape, dtype=dtype))
+    assert getattr(cls(G8, owned), attr) is owned
 
 
 def test_one_sampler_and_one_freezer():
@@ -217,6 +233,22 @@ class TestWarpMask:
         out = warp_mask(Mask(G8, arr), disp)
         assert set(np.unique(out.data)) <= {0, 1}
 
+    def test_peak_memory_per_voxel(self):
+        # the result (1 B/voxel) plus one x-slab of float32 coordinates
+        # (12 B per slab voxel: 1.5 B/voxel on 8 of 64 planes), not a
+        # whole-grid coordinate array
+        g = GridGeometry((64, 64, 64))
+        rng = np.random.default_rng(6)
+        mask = Mask(g, (rng.uniform(size=g.dims) > 0.5).astype(np.uint8))
+        disp = VectorField(g, rng.uniform(-2, 2, size=(3, *g.dims)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            warp_mask(mask, disp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.n_voxels <= 4
+
 
 class TestGaussianSmooth:
     def test_sigma_zero_identity(self):
@@ -295,3 +327,18 @@ class TestPyramid:
         out = upsample_field(field, fine)
         assert out.geometry == fine
         assert np.allclose(out.data, 2.0, atol=1e-6)
+
+    def test_upsample_allocates_its_result_once(self):
+        # per fine voxel: the float32 coordinates and the result, 12 B each;
+        # the field adopts the result, which is doubled in place
+        coarse = GridGeometry((32, 32, 32), spacing=(2, 2, 2))
+        fine = GridGeometry((64, 64, 64))
+        rng = np.random.default_rng(7)
+        field = VectorField(coarse, rng.normal(size=(3, *coarse.dims)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            upsample_field(field, fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / fine.n_voxels <= 25

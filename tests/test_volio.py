@@ -1,4 +1,7 @@
 """Byte-level round trips and malformed-header handling for the .vol format."""
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,78 @@ def test_labels_roundtrip(tmp_path):
     assert np.array_equal(back, labels)
     volio.write_labels(p2, geom, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# nz spans two whole z-slabs and a partial third
+SLABBED = GridGeometry((5, 3, 2 * volio.SLAB_PLANES + 5))
+
+
+@pytest.mark.parametrize("kind", ["volume", "mask", "field", "float64-labels"])
+def test_slabbed_payload_is_the_whole_array_in_x_fastest_order(tmp_path, kind):
+    rng = np.random.default_rng(3)
+    dims = SLABBED.dims
+    path = tmp_path / "s.vol"
+    if kind == "volume":
+        data = rng.normal(size=dims).astype(np.float32)
+        volio.write_volume(path, Volume(SLABBED, data))
+        back, dtype = volio.read_volume(path).data, "<f4"
+    elif kind == "mask":
+        data = (rng.random(dims) < 0.5).astype(np.uint8)
+        volio.write_mask(path, Mask(SLABBED, data))
+        back, dtype = volio.read_mask(path).data, "u1"
+    elif kind == "field":
+        data = rng.normal(size=(3, *dims)).astype(np.float32)
+        volio.write_field(path, VectorField(SLABBED, data))
+        back, dtype = volio.read_field(path).data, "<f4"
+    else:  # the writer casts each slab as the whole array would be cast
+        data = rng.integers(0, 4, size=dims).astype(np.float64)
+        volio.write_labels(path, SLABBED, data)
+        back, dtype = volio.read_raw(path)[1], "u1"
+    raw = path.read_bytes()
+    assert raw[raw.find(b"\n\n") + 2:] == np.asarray(data, dtype=dtype).tobytes(order="F")
+    assert np.array_equal(back, data)
+    assert back.flags.c_contiguous and back.flags.owndata and not back.flags.writeable
+
+
+def test_payload_that_ends_while_it_is_read(tmp_path, monkeypatch):
+    # the file shrinks after its length was checked: no slab is left unfilled
+    field = VectorField(SLABBED, np.ones((3, *SLABBED.dims), dtype=np.float32))
+    path = tmp_path / "f.vol"
+    volio.write_field(path, field)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-5])
+    monkeypatch.setattr(volio.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(VolFormatError, match="payload ends early"):
+        volio.read_field(path)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_header_is_found_across_read_blocks(tmp_path, monkeypatch, block):
+    # the blank line may straddle two blocks, or end one exactly
+    monkeypatch.setattr(volio, "HEADER_BLOCK", block)
+    field = VectorField(GEOM, np.arange(3 * 24, dtype=np.float32).reshape(3, *GEOM.dims))
+    path = tmp_path / "f.vol"
+    volio.write_field(path, field)
+    back = volio.read_field(path)
+    assert back.geometry == GEOM
+    assert np.array_equal(back.data, field.data)
+
+
+def test_read_field_peak_is_the_array_and_one_slab(tmp_path):
+    # no whole-file bytes and no second copy: the array, one z-slab of
+    # SLAB_PLANES planes (12 of 64 here) and the header
+    g = GridGeometry((64, 64, 64))
+    rng = np.random.default_rng(4)
+    path = tmp_path / "f.vol"
+    volio.write_field(path, VectorField(g, rng.normal(size=(3, *g.dims)).astype(np.float32)))
+    payload = 12 * g.n_voxels
+    tracemalloc.start()
+    try:
+        volio.read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * payload
 
 
 def test_x_fastest_byte_layout(tmp_path):

@@ -1,5 +1,5 @@
 """Print the tracemalloc peak, in bytes per voxel, of `register` and of the
-`jacobian`, `regions` and `stats` commands.
+`phantom`, `jacobian`, `regions` and `stats` commands.
 
 Usage:
 
@@ -18,9 +18,14 @@ The probes:
 * register-32, register-64: one `registration.register` with default
   parameters on the weeks 0 and 1 of a seed-7 phantom patient (radius 6)
   at 32^3 and 64^3, as `test_register_peak_memory_per_voxel` runs it;
+* phantom-64: `python -m defield.cli phantom` writing one seed-7 64^3
+  patient of two weeks (the benchmark's set-up command): its synthesis
+  and the .vol writer, which writes one z-slab at a time;
 * jacobian-64, regions-64, stats-64: `python -m defield.cli jacobian`,
-  `regions` and `stats` on the ground-truth week 0 -> 1 pair of a seed-7
-  64^3 phantom patient, each command reading what the one before it wrote.
+  `regions` and `stats` on that patient's ground-truth week 0 -> 1 pair,
+  each command reading what the one before it wrote. The .vol reader
+  fills each field in place, one z-slab at a time; jacobian_map holds
+  one x-slab of float64 temporaries next to its float32 result.
 
 The peaks count numpy's arrays and Python's objects, not the interpreter
 or the libraries' own buffers. `register` runs its two halves on two
@@ -107,7 +112,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for n in (32, 64):
             report(f"register-{n}", run(["-c", REGISTER_PROBE, str(n)], env, workdir))
-        made, reason = run(["-m", "defield.cli", *PHANTOM], env, workdir)
+        made, reason = run(["-c", COMMAND_PROBE, str(GRID ** 3), *PHANTOM], env, workdir)
+        report(f"phantom-{GRID}", (made, reason))
         for name, cli_args in COMMANDS:
             result = (run(["-c", COMMAND_PROBE, str(GRID ** 3), *cli_args], env, workdir)
                       if made is not None else (None, f"phantom: {reason}"))
