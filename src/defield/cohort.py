@@ -29,7 +29,7 @@ from . import volio
 from .defanalysis import (
     REGIONS,
     RegionSamples,
-    collect_samples,
+    _gather,
     jacobian_map,
     partition_regions,
     pool,
@@ -134,8 +134,9 @@ def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
 
     All analysis happens in the later week's frame: the earlier delineation
     is warped forward, and the Jacobian map of the forward field is sampled
-    on that frame. Returns the samples and whether the registration fell
-    back to the identity transform.
+    on that frame. Returns the samples, float32 as the map holds them (4 B
+    per interior voxel, held and pickled until the cohort is pooled), and
+    whether the registration fell back to the identity transform.
     """
     patient_id, earlier, later = pair
     vol_prev = volio.read_volume(earlier.volume_path)
@@ -146,7 +147,7 @@ def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
         transform, trace = register(vol_prev, vol_next, params)
         warped = warp_mask(mask_prev, transform.forward)
         part = partition_regions(warped, mask_next)
-        return (collect_samples(jacobian_map(transform.forward), part),
+        return (_gather(jacobian_map(transform.forward), part, np.float32),
                 trace.identity_fallback)
     except (GeometryMismatch, ValidationError) as exc:
         # same class, message as its only argument: it still pickles
@@ -381,17 +382,30 @@ def run_cohort(records: list[PatientRecord],
     tables, errors = tabulate_limits(results)
     warnings += [f"contingency [{limit}]: {msg}" for limit, msg in errors.items()]
 
-    # "all" is never empty: every record has at least one week pair
-    pooled = {group: pool(members) for group, members in group_samples.items() if members}
-    summaries = {group: region_summaries(p) for group, p in pooled.items()}
+    # "all" comes first and is never empty: every record has a week pair
     ordering = None
-    try:
-        ordering = population_ordering(summaries["all"])
-    except ValidationError as exc:
-        warnings.append(f"ordering: {exc}")
-    boxplot = [row for group, p in pooled.items()
-               for row in boxplot_rows(p, summaries[group], group=group)]
+    boxplot = []
+    for group, members in group_samples.items():
+        if not members:
+            continue
+        summaries, rows = _group_rows(group, members)
+        boxplot += rows
+        if group == "all":
+            try:
+                ordering = population_ordering(summaries)
+            except ValidationError as exc:
+                warnings.append(f"ordering: {exc}")
     return CohortReport(results, tables, ordering, warnings, boxplot)
+
+
+def _group_rows(group: str, members: list[RegionSamples]
+                ) -> tuple[dict[str, SummaryStats | None], list[dict]]:
+    """The region summaries and box-plot rows of one response group's
+    pooled samples; the pooled float64 copy is freed on return, before the
+    next group is pooled."""
+    pooled = pool(members)
+    summaries = region_summaries(pooled)
+    return summaries, boxplot_rows(pooled, summaries, group=group)
 
 
 def _recist(path, token: str) -> RecistLabel:

@@ -11,6 +11,7 @@ per region for the downstream statistics.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .grids import (
 LABEL_N, LABEL_U, LABEL_R, LABEL_G = 0, 1, 2, 3
 REGIONS = ("U", "R", "G", "N")
 _CODE = {"N": LABEL_N, "U": LABEL_U, "R": LABEL_R, "G": LABEL_G}
-SLAB_PLANES = 8  # x-planes per jacobian_map slab: bounds its float64 temporaries
+SLAB_PLANES = 8  # x-planes per jacobian_map and _gather slab: bounds temporaries
 CSV_CHUNK = 4096  # values per samples.csv write
 # a two-character label field: a longer label stays unknown after truncation
 _SAMPLES_DTYPE = np.dtype([("label", "U2"), ("j_value", np.float64)])
@@ -63,15 +64,24 @@ class RegionPartition:
 
 @dataclass
 class RegionSamples:
-    """Jacobian values pooled per region (float64 arrays, all positive)."""
+    """Jacobian values per region, all positive: float32 when gathered
+    from a Jacobian map for a cohort's week pair (the map's own dtype),
+    float64 otherwise, as collect_samples and read_samples_csv give them.
+    A float32 array is kept as given and anything else is converted to
+    float64. pool and mean widen to float64 before they reduce, so every
+    statistic sees the float64 values it would see had they been stored
+    as float64."""
 
     samples: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for region in REGIONS:
-            arr = np.asarray(self.samples.get(region, ()), dtype=np.float64).ravel()
-            if arr.size and not (np.isfinite(arr).all() and arr.min() > 0):
+            values = self.samples.get(region, ())
+            keep = isinstance(values, np.ndarray) and values.dtype == np.float32
+            arr = np.asarray(values, dtype=np.float32 if keep else np.float64).ravel()
+            # min and max propagate NaN and reach +-inf, with no per-value temporary
+            if arr.size and not (math.isfinite(arr.max()) and arr.min() > 0):
                 raise ValidationError(
                     f"region {region} has non-finite or non-positive samples")
             clean[region] = arr
@@ -82,7 +92,7 @@ class RegionSamples:
 
     def mean(self, region: str) -> float | None:
         arr = self.samples[region]
-        return float(arr.mean()) if arr.size else None
+        return float(np.asarray(arr, dtype=np.float64).mean()) if arr.size else None
 
 
 def jacobian_map(disp: VectorField) -> JacobianMap:
@@ -162,24 +172,43 @@ def _interior(dims) -> tuple[slice, slice, slice]:
 
 
 def collect_samples(jmap: JacobianMap, part: RegionPartition) -> RegionSamples:
-    """Group Jacobian values by region label.
+    """Group Jacobian values by region label, as float64.
 
     Face voxels are excluded: their one-sided stencils bias the
     determinant.
     """
+    return _gather(jmap, part, np.float64)
+
+
+def _gather(jmap: JacobianMap, part: RegionPartition, dtype) -> RegionSamples:
+    """Each region's interior Jacobian values as dtype, in C order: the
+    one interior and label rule of collect_samples and of a cohort's
+    float32 pair samples. Each region's result is allocated once and filled
+    from x-slabs of SLAB_PLANES planes, so no whole-region float32 gather
+    sits next to a float64 result."""
     require_same_geometry(jmap, part)
     sl = _interior(jmap.geometry.dims)
     values = jmap.data[sl]
     labels = part.labels[sl]
-    return RegionSamples({r: values[labels == _CODE[r]] for r in REGIONS})
+    gathered = {}
+    for region in REGIONS:
+        code = _CODE[region]
+        out = gathered[region] = np.empty(np.count_nonzero(labels == code), dtype)
+        end = 0
+        for x0 in range(0, len(labels), SLAB_PLANES):
+            slab = values[x0:x0 + SLAB_PLANES][labels[x0:x0 + SLAB_PLANES] == code]
+            out[end:end + slab.size] = slab
+            end += slab.size
+    return RegionSamples(gathered)
 
 
 def pool(samples: list[RegionSamples]) -> RegionSamples:
-    """Concatenate per-region samples; counts are additive."""
+    """Concatenate per-region samples into float64; counts are additive."""
     if not samples:
         raise ValidationError("cannot pool an empty list")
     return RegionSamples({
-        r: np.concatenate([s.samples[r] for s in samples]) for r in REGIONS
+        r: np.concatenate([s.samples[r] for s in samples], dtype=np.float64)
+        for r in REGIONS
     })
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-WARP_SLAB_PLANES = 8  # x-planes of sample coordinates warp_mask holds at once
+# x-planes of sample coordinates warp_mask and _upsample_array hold at once
+WARP_SLAB_PLANES = 8
 
 
 class DefieldError(Exception):
@@ -153,16 +154,20 @@ def _sample_many(data: np.ndarray, coords: np.ndarray, order: int,
     return out
 
 
+def _axis_indices(x0: int, shape) -> list[np.ndarray]:
+    """Each axis's float32 voxel indices on the x-planes x0:x0 + shape[0]
+    of a grid, one arange per axis shaped to broadcast over `shape`."""
+    return [np.arange(start, start + n, dtype=np.float32).reshape(
+                [n if i == axis else 1 for i in range(3)])
+            for axis, (start, n) in enumerate(zip((x0, 0, 0), shape))]
+
+
 def _coords(disp: np.ndarray, x0: int, x1: int) -> np.ndarray:
     """The float32 coordinates z - disp(z) of the x-planes x0:x1: each
-    axis's coordinates are its index, broadcast from one arange, minus that
-    component of disp, written into one buffer."""
+    axis's index minus that component of disp, written into one buffer."""
     part = disp[:, x0:x1]
     coords = np.empty(part.shape, dtype=np.float32)
-    for axis, n in enumerate(part.shape[1:]):
-        start = x0 if axis == 0 else 0
-        index = np.arange(start, start + n, dtype=np.float32).reshape(
-            [n if i == axis else 1 for i in range(3)])
+    for axis, index in enumerate(_axis_indices(x0, part.shape[1:])):
         np.subtract(index, part[axis], out=coords[axis])
     return coords
 
@@ -275,7 +280,20 @@ def upsample_field(field: VectorField, target: GridGeometry) -> VectorField:
     Inverse of the downsample2 index convention: fine voxel f samples the
     coarse field at f/2.
     """
-    coords = np.indices(target.dims, dtype=np.float32) * 0.5
-    out = _sample_many(field.data, coords, order=1)
+    return VectorField(target, _handover(_upsample_array(field.data, target.dims)))
+
+
+def _upsample_array(data: np.ndarray, dims) -> np.ndarray:
+    """upsample_field's values for a (3, ...) array, as one new array: the
+    coordinates f/2 are built for x-slabs of WARP_SLAB_PLANES fine planes,
+    each sampled into its planes of the result, which is then doubled in
+    place."""
+    out = np.empty((3, *dims), dtype=np.float32)
+    for x0 in range(0, dims[0], WARP_SLAB_PLANES):
+        x1 = min(x0 + WARP_SLAB_PLANES, dims[0])
+        coords = np.empty((3, x1 - x0, *dims[1:]), dtype=np.float32)
+        for axis, index in enumerate(_axis_indices(x0, coords.shape[1:])):
+            np.multiply(index, 0.5, out=coords[axis])
+        _sample_many(data, coords, 1, out=out[:, x0:x1])
     out *= 2.0
-    return VectorField(target, _handover(out))
+    return out

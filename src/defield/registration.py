@@ -85,9 +85,9 @@ from .grids import (
     _pull,
     _smooth_array,
     _smooth_field_array,
+    _upsample_array,
     downsample2,
     require_same_geometry,
-    upsample_field,
 )
 
 # local-variance floor, as a fraction of the global intensity variance
@@ -349,8 +349,7 @@ def register(source: Volume, target: Volume,
             if state is None:
                 v = np.zeros((3, *geom.dims), dtype=np.float32)
             else:
-                v = upsample_field(VectorField(prev_geom, state.v), geom).data
-            prev_geom = geom
+                v = _upsample_array(state.v, geom.dims)
 
             s_arr = src_l.data
             t_arr = tgt_l.data

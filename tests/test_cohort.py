@@ -2,6 +2,7 @@
 the shipped response-table fixture."""
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -29,12 +30,27 @@ from defield.cohort import (
     write_manifest,
 )
 from defield import cohort
-from defield.defanalysis import REGIONS, RegionSamples
-from defield.grids import GridGeometry, Mask, ValidationError, VectorField, Volume
+from defield.defanalysis import (
+    REGIONS,
+    RegionSamples,
+    collect_samples,
+    jacobian_map,
+    partition_regions,
+)
+from defield.grids import (
+    GridGeometry,
+    Mask,
+    ValidationError,
+    VectorField,
+    Volume,
+    warp_mask,
+)
+from defield.phantom import PhantomSpec, synth_cohort
 from defield.registration import (
     ConvergenceTrace,
     RegistrationParams,
     SymmetricTransform,
+    register,
 )
 from defield.stats import Contingency2x2, fisher_exact
 from defield import volio
@@ -397,6 +413,72 @@ def test_run_cohort_summarizes_each_pooled_region_once(monkeypatch):
     assert sorted(summarized) == sorted(pooled_sizes)
     assert report.ordering is not None
     assert len(report.boxplot) == len(pooled_sizes)
+
+
+def test_pair_samples_hold_float32_values(identical_patient):
+    # the Jacobian map's own dtype: 4 B per interior voxel of the 16^3 grid
+    for samples, _ in each_pair(identical_patient):
+        assert all(values.dtype == np.float32 for values in samples.samples.values())
+        assert sum(values.nbytes for values in samples.samples.values()) == 4 * 14 ** 3
+
+
+@pytest.fixture(scope="module")
+def phantom_records(tmp_path_factory):
+    """Two 20^3 phantom patients of three weeks, labelled PR and PD."""
+    out = tmp_path_factory.mktemp("cohort20")
+    courses = synth_cohort(PhantomSpec(grid=GridGeometry((20, 20, 20)), weeks=3), 2)
+    return [(f"p{i}", course.write(str(out), f"p{i}"), label)
+            for i, (course, label) in enumerate(zip(courses, ("PR", "PD")))]
+
+
+def float64_pair_samples(weeks) -> list[RegionSamples]:
+    """Each week pair's samples as a caller that presets PatientRecord
+    pair_samples builds them: register, warp the earlier mask, partition
+    and collect_samples, which gives float64."""
+    samples = []
+    for earlier, later in zip(weeks, weeks[1:]):
+        transform, _ = register(volio.read_volume(earlier.volume_path),
+                                volio.read_volume(later.volume_path), FAST)
+        part = partition_regions(warp_mask(volio.read_mask(earlier.mask_path),
+                                           transform.forward),
+                                 volio.read_mask(later.mask_path))
+        samples.append(collect_samples(jacobian_map(transform.forward), part))
+    return samples
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_float32_pairs_report_as_preset_float64_samples(phantom_records, workers):
+    # widening float32 to float64 is exact and pooling concatenates before
+    # any reduction, so every mean, t statistic and quantile is the same
+    computed = [PatientRecord(pid, weeks, RecistLabel(label))
+                for pid, weeks, label in phantom_records]
+    preset = [PatientRecord(pid, weeks, RecistLabel(label), float64_pair_samples(weeks))
+              for pid, weeks, label in phantom_records]
+    assert all(values.dtype == np.float64 for record in preset
+               for pair in record.pair_samples for values in pair.samples.values())
+    report = json.dumps(run_cohort(computed, FAST, workers).as_dict())
+    assert report == json.dumps(run_cohort(preset, FAST).as_dict())
+
+
+def test_run_cohort_pools_one_group_at_a_time(monkeypatch):
+    # every pooled array (a patient's, then the all, PR and non-PR
+    # groups') is freed before the next pool is built
+    rng = np.random.default_rng(10)
+    records = [preset_record("p0", "PR", 3, 2, rng), preset_record("p1", "PD", 3, 2, rng),
+               preset_record("p2", "NA", 2, 1, rng)]
+    pooled = []
+    real_pool = cohort.pool
+
+    def tracked(samples):
+        assert [ref for ref in pooled if ref() is not None] == []
+        result = real_pool(samples)
+        pooled.extend(weakref.ref(values) for values in result.samples.values())
+        return result
+
+    monkeypatch.setattr(cohort, "pool", tracked)
+    report = run_cohort(records)
+    assert {row["group"] for row in report.boxplot} == {"all", "PR", "non-PR"}
+    assert [ref for ref in pooled if ref() is not None] == []
 
 
 def test_week_limit_pools_pairs_by_week_number():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defield import defanalysis
 from defield.defanalysis import (
     CSV_CHUNK,
     LABEL_G,
@@ -13,6 +14,7 @@ from defield.defanalysis import (
     SLAB_PLANES,
     JacobianMap,
     RegionSamples,
+    _gather,
     _slab_determinant,
     collect_samples,
     jacobian_map,
@@ -226,6 +228,64 @@ class TestCollectSamples:
         with pytest.raises(ValidationError, match="region G has non-finite"):
             RegionSamples({"U": [1.0], "G": [1.0, value]})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float32_samples_rejected(self, value):
+        # a kept float32 array passes the same check
+        with pytest.raises(ValidationError, match="region G has non-finite"):
+            RegionSamples({"G": np.array([1.0, value], dtype=np.float32)})
+
+    def test_float32_kept_anything_else_widened(self):
+        values = np.array([0.5, 1.25], dtype=np.float32)
+        s = RegionSamples({"U": values, "R": values.astype(np.float16), "G": [1, 2],
+                           "N": values.tolist()})
+        assert s.samples["U"].dtype == np.float32
+        assert np.shares_memory(s.samples["U"], values)
+        assert [s.samples[r].dtype for r in "RGN"] == [np.float64] * 3
+
+    def test_mean_widens_before_it_reduces(self):
+        # the float32 array's own mean rounds differently here
+        values = np.random.default_rng(11).uniform(0.5, 2.0, 100_003).astype(np.float32)
+        s = RegionSamples({"U": values})
+        assert s.mean("U") == float(values.astype(np.float64).mean())
+
+    @pytest.mark.parametrize("planes", [3, SLAB_PLANES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slabbed_gather_matches_boolean_index(self, monkeypatch, planes, dtype):
+        # 13 interior x-planes in slabs of 3 (4 x 3 + 1) and of the default
+        monkeypatch.setattr(defanalysis, "SLAB_PLANES", planes)
+        g = GridGeometry((15, 9, 11))
+        rng = np.random.default_rng(12)
+        part = partition_regions(Mask(g, (rng.random(g.dims) < 0.4).astype(np.uint8)),
+                                 Mask(g, (rng.random(g.dims) < 0.4).astype(np.uint8)))
+        jm = JacobianMap(g, rng.uniform(0.5, 2.0, g.dims).astype(np.float32))
+        s = _gather(jm, part, dtype)
+        for region, code in zip("URGN", (LABEL_U, LABEL_R, LABEL_G, LABEL_N)):
+            expected = jm.data[INTERIOR][part.labels[INTERIOR] == code].astype(dtype)
+            assert s.samples[region].dtype == dtype
+            assert s.samples[region].tobytes() == expected.tobytes()
+
+    def test_collect_samples_peak_memory_per_voxel(self):
+        """The float64 samples (8 B per interior voxel, 7.3 B per voxel at
+        64^3) and one x-slab of float32 gather: each region is allocated
+        once and filled slab by slab (8.3 B per voxel measured; widening
+        four whole-region float32 gathers took 11.8)."""
+        g = GridGeometry((64, 64, 64))
+        x, y, z = np.indices(g.dims)
+        r2 = (x - 31.5) ** 2 + (y - 31.5) ** 2 + (z - 31.5) ** 2
+        part = partition_regions(Mask(g, (r2 < 12 ** 2).astype(np.uint8)),
+                                 Mask(g, (r2 < 11 ** 2).astype(np.uint8)))
+        jm = JacobianMap(g, np.random.default_rng(13).uniform(
+            0.5, 2.0, g.dims).astype(np.float32))
+        del x, y, z, r2
+        tracemalloc.start()
+        try:
+            s = collect_samples(jm, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(values.nbytes for values in s.samples.values()) == 8 * 62 ** 3
+        assert peak / g.n_voxels <= 9
+
 
 class TestPool:
     def make(self, seed):
@@ -256,6 +316,16 @@ class TestPool:
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):
             pool([])
+
+    def test_float32_members_pool_into_float64(self):
+        a, b = self.make(5), self.make(6)
+        narrow = RegionSamples({r: a.samples[r].astype(np.float32) for r in "URGN"})
+        p = pool([narrow, b])
+        for region in "URGN":
+            expected = np.concatenate([narrow.samples[region].astype(np.float64),
+                                       b.samples[region]])
+            assert p.samples[region].dtype == np.float64
+            assert p.samples[region].tobytes() == expected.tobytes()
 
 
 def test_samples_csv_roundtrip_byte_identical(tmp_path):

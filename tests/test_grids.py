@@ -329,8 +329,9 @@ class TestPyramid:
         assert np.allclose(out.data, 2.0, atol=1e-6)
 
     def test_upsample_allocates_its_result_once(self):
-        # per fine voxel: the float32 coordinates and the result, 12 B each;
-        # the field adopts the result, which is doubled in place
+        # per fine voxel: the float32 result (12 B), which the field adopts
+        # and which is doubled in place, and one x-slab of coordinates
+        # (1.5 B at 64^3); 15.0 B measured, 24 with whole-grid coordinates
         coarse = GridGeometry((32, 32, 32), spacing=(2, 2, 2))
         fine = GridGeometry((64, 64, 64))
         rng = np.random.default_rng(7)
@@ -341,4 +342,4 @@ class TestPyramid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / fine.n_voxels <= 25
+        assert peak / fine.n_voxels <= 16

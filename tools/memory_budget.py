@@ -1,5 +1,5 @@
 """Print the tracemalloc peak, in bytes per voxel, of `register` and of the
-`phantom`, `jacobian`, `regions` and `stats` commands.
+`phantom`, `jacobian`, `regions`, `stats` and `classify` commands.
 
 Usage:
 
@@ -25,7 +25,12 @@ The probes:
   `regions` and `stats` on that patient's ground-truth week 0 -> 1 pair,
   each command reading what the one before it wrote. The .vol reader
   fills each field in place, one z-slab at a time; jacobian_map holds
-  one x-slab of float64 temporaries next to its float32 result.
+  one x-slab of float64 temporaries next to its float32 result;
+* classify-32: `python -m defield.cli classify` on a seed-7 cohort of 3
+  patients of 4 weeks at 32^3 (9 week pairs, written by an untraced
+  `phantom` run first). Its peak is the last pair's `register` next to
+  the earlier pairs' float32 region samples (4 B per interior voxel
+  each); the pooled float64 groups are built one at a time afterwards.
 
 The peaks count numpy's arrays and Python's objects, not the interpreter
 or the libraries' own buffers. `register` runs its two halves on two
@@ -78,6 +83,10 @@ COMMANDS = [
                  "--field", "phantom/p00/gt_forward00.vol", "--out", "regions"]),
     ("stats", ["stats", "--samples", "regions/samples.csv", "--out", "stats"]),
 ]
+COHORT_GRID = 32
+COHORT = ["phantom", "--out", "cohort", "--grid", str(COHORT_GRID), "--weeks", "4",
+          "--patients", "3", "--seed", "7"]
+CLASSIFY = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify"]
 
 
 def run(args: list[str], env: dict, cwd: str) -> tuple[str | None, str]:
@@ -118,6 +127,10 @@ def main(argv=None) -> int:
             result = (run(["-c", COMMAND_PROBE, str(GRID ** 3), *cli_args], env, workdir)
                       if made is not None else (None, f"phantom: {reason}"))
             report(f"{name}-{GRID}", result)
+        made, reason = run(["-m", "defield.cli", *COHORT], env, workdir)
+        result = (run(["-c", COMMAND_PROBE, str(COHORT_GRID ** 3), *CLASSIFY], env, workdir)
+                  if made is not None else (None, f"phantom: {reason}"))
+        report(f"classify-{COHORT_GRID}", result)
     return 1 if failed else 0
 
 
