@@ -14,11 +14,11 @@ from which accuracy/precision/recall and Fisher's exact test follow.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
@@ -135,8 +135,8 @@ def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
     All analysis happens in the later week's frame: the earlier delineation
     is warped forward, and the Jacobian map of the forward field is sampled
     on that frame. Returns the samples, float32 as the map holds them (4 B
-    per interior voxel, held and pickled until the cohort is pooled), and
-    whether the registration fell back to the identity transform.
+    per interior voxel, held until the cohort is pooled), and whether the
+    registration fell back to the identity transform.
     """
     patient_id, earlier, later = pair
     vol_prev = volio.read_volume(earlier.volume_path)
@@ -150,7 +150,6 @@ def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
         return (_gather(jacobian_map(transform.forward), part, np.float32),
                 trace.identity_fallback)
     except (GeometryMismatch, ValidationError) as exc:
-        # same class, message as its only argument: it still pickles
         raise type(exc)(f"patient {patient_id}, weeks {earlier.week}->"
                         f"{later.week}: {exc}") from exc
 
@@ -339,9 +338,12 @@ class CohortReport:
 def run_cohort(records: list[PatientRecord],
                params: RegistrationParams = RegistrationParams(),
                workers: int = 1) -> CohortReport:
-    """Register every week pair (optionally in parallel; records with
-    pair_samples set keep theirs), classify under both week limits, and
-    assemble tables, metrics, Fisher results and the pooled ordering."""
+    """Register every week pair on a pool of min(workers, pairs) threads,
+    at least one (records with pair_samples set keep theirs), classify
+    under both week limits, and assemble tables, metrics, Fisher results
+    and the pooled ordering. The scipy kernels that dominate a pair release
+    the GIL, and the pairs come back in order, so the report does not
+    depend on workers."""
     if not records:
         raise ValidationError("empty cohort")
     for r in records:
@@ -351,11 +353,9 @@ def run_cohort(records: list[PatientRecord],
     pairs = [(r.patient_id, earlier, later) for r in records if r.pair_samples is None
              for earlier, later in zip(r.weeks, r.weeks[1:])]
     job = functools.partial(pair_samples, params=params)
-    if workers == 1 or not pairs:
-        computed = list(map(job, pairs))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(pairs))) as pool_exec:
-            computed = list(pool_exec.map(job, pairs))
+    with ThreadPoolExecutor(max(1, min(workers, len(pairs)))) as pool_exec:
+        # drained inside the block: a failing pair cancels the pairs not started
+        computed = list(pool_exec.map(job, pairs))
     done = iter(computed)
     warnings: list[str] = []
     results = []

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-# x-planes of sample coordinates warp_mask and _upsample_array hold at once
-WARP_SLAB_PLANES = 8
+# x-planes per slab of jacobian_map, _gather, warp_mask and _upsample_array:
+# bounds the per-slab temporaries
+SLAB_PLANES = 8
 
 
 class DefieldError(Exception):
@@ -186,11 +187,11 @@ def warp_volume(vol: Volume, disp: VectorField) -> Volume:
 
 def warp_mask(mask: Mask, disp: VectorField) -> Mask:
     """Resample a binary mask through z - g(z) (nearest neighbor), in
-    x-slabs of WARP_SLAB_PLANES planes of coordinates."""
+    x-slabs of SLAB_PLANES planes of coordinates."""
     require_same_geometry(mask, disp)
     out = np.empty(mask.geometry.dims, dtype=np.uint8)
-    for x0 in range(0, len(out), WARP_SLAB_PLANES):
-        x1 = x0 + WARP_SLAB_PLANES
+    for x0 in range(0, len(out), SLAB_PLANES):
+        x1 = x0 + SLAB_PLANES
         _sample_many(mask.data, _coords(disp.data, x0, x1), 0, out=out[x0:x1])
     return Mask(mask.geometry, _handover(out))
 
@@ -273,24 +274,19 @@ def downsample2(vol: Volume) -> Volume:
     return Volume(geom, coarse)
 
 
-def upsample_field(field: VectorField, target: GridGeometry) -> VectorField:
-    """Trilinearly interpolate a displacement field onto a finer grid and
-    double the displacement magnitudes (voxel units rescale with the grid).
+def _upsample_array(data: np.ndarray, dims) -> np.ndarray:
+    """A (3, ...) displacement array trilinearly interpolated onto the finer
+    grid dims with its magnitudes doubled (voxel units rescale with the
+    grid), as one new array.
 
     Inverse of the downsample2 index convention: fine voxel f samples the
-    coarse field at f/2.
+    coarse array at f/2. The coordinates are built for x-slabs of
+    SLAB_PLANES fine planes, each sampled into its planes of the result,
+    which is then doubled in place.
     """
-    return VectorField(target, _handover(_upsample_array(field.data, target.dims)))
-
-
-def _upsample_array(data: np.ndarray, dims) -> np.ndarray:
-    """upsample_field's values for a (3, ...) array, as one new array: the
-    coordinates f/2 are built for x-slabs of WARP_SLAB_PLANES fine planes,
-    each sampled into its planes of the result, which is then doubled in
-    place."""
     out = np.empty((3, *dims), dtype=np.float32)
-    for x0 in range(0, dims[0], WARP_SLAB_PLANES):
-        x1 = min(x0 + WARP_SLAB_PLANES, dims[0])
+    for x0 in range(0, dims[0], SLAB_PLANES):
+        x1 = min(x0 + SLAB_PLANES, dims[0])
         coords = np.empty((3, x1 - x0, *dims[1:]), dtype=np.float32)
         for axis, index in enumerate(_axis_indices(x0, coords.shape[1:])):
             np.multiply(index, 0.5, out=coords[axis])

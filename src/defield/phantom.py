@@ -256,13 +256,9 @@ def _week_map(spec: PhantomSpec, radius: float, bg_amplitude: float) -> RadialMa
     return RadialMap(components)
 
 
-def blob_volume(grid: GridGeometry, center, radius: float,
-                seed: int = 0) -> Volume:
-    """Gaussian intensity blob over a smooth seeded background texture."""
-    return _blob(grid, _radius_grid(grid, center)[1], radius, seed)
-
-
 def _blob(grid: GridGeometry, r: np.ndarray, radius: float, seed: int) -> Volume:
+    """Gaussian intensity blob over a smooth seeded background texture, on
+    the radius grid r."""
     img = 0.2 + np.exp(-0.5 * (r / (_BLOB_WIDTH_FACTOR * radius)) ** 2)
     rng = np.random.default_rng((seed, 0))
     tex = _smooth_array(rng.standard_normal(grid.dims), _TEXTURE_SIGMA)

@@ -62,9 +62,8 @@ runs on one helper thread while the calling thread runs the forward half;
 the scipy.ndimage kernels that dominate both release the GIL. The results
 are combined in the same order as a serial run, so the fields are
 identical. Each register call owns its executor and joins its thread
-before it returns: a thread left alive in a process that later forks
-(run_cohort's process pool) would leave the children an executor whose
-thread does not exist, and they would wait on it forever.
+before it returns; otherwise threads would pile up, one per pair, in a
+process that registers a cohort's pairs on run_cohort's pool threads.
 """
 from __future__ import annotations
 

@@ -10,12 +10,25 @@ from defield.grids import (
     Volume,
     gaussian_kernel1d,
 )
-from defield.phantom import RadialComponent, RadialMap, _radius_grid, grid_center
+from defield.phantom import (
+    RadialComponent,
+    RadialMap,
+    _blob,
+    _radius_grid,
+    grid_center,
+)
 
 
 def full_volume(geometry: GridGeometry, value: float) -> Volume:
     """A float32 volume holding one value everywhere."""
     return Volume(geometry, np.full(geometry.dims, value, dtype=np.float32))
+
+
+def blob_volume(grid: GridGeometry, center, radius: float,
+                seed: int = 0) -> Volume:
+    """Gaussian intensity blob about center over a smooth seeded background
+    texture: the phantom's clean image, centred anywhere."""
+    return _blob(grid, _radius_grid(grid, center)[1], radius, seed)
 
 
 def affine_field(a_matrix, b, grid: GridGeometry) -> tuple[VectorField, float]:

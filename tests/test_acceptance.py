@@ -31,7 +31,6 @@ from defield.phantom import (
     PhantomSpec,
     RadialComponent,
     RadialMap,
-    blob_volume,
     grid_center,
     pullback,
     synth_cohort,
@@ -52,7 +51,7 @@ from defield.stats import (
     pooled_t_test,
     summarize,
 )
-from oracles import affine_field, mean_norm, radial_gaussian_field
+from oracles import affine_field, blob_volume, mean_norm, radial_gaussian_field
 
 
 @contextmanager

@@ -362,7 +362,8 @@ def test_decisions_csv_quotes_notes_with_commas(tmp_path, monkeypatch):
 ])
 def test_classify_constant_volume_names_patient(tmp_path, capsys, case, workers):
     # p1's last week is constant, or its volume or mask lies on another grid;
-    # the error crosses the process pool when workers > 1, so it must pickle
+    # the error names the pair whether it is raised on a pool of one thread
+    # or of two
     g = GridGeometry((16, 16, 16))
     other = GridGeometry((20, 20, 20))
     rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@
 the shipped response-table fixture."""
 import json
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -301,7 +302,7 @@ def test_run_cohort_and_manifest_roundtrip(tmp_path, identical_patient):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_identity_fallback_becomes_a_warning(monkeypatch, identical_patient, workers):
     # every pair's registration returns the zero transform it fell back to;
-    # with workers > 1 the pool sends the pairs back with the samples
+    # with workers > 1 the flags come back from two threads in pair order
     def fallback_register(source, target, params):
         zero = VectorField.zero(source.geometry)
         return (SymmetricTransform(zero, zero, zero),
@@ -326,24 +327,44 @@ def test_no_fallback_no_warning(identical_patient):
 
 @pytest.fixture()
 def pool_sizes(monkeypatch):
-    """The max_workers of every process pool run_cohort starts."""
+    """The max_workers of every thread pool run_cohort starts."""
     sizes = []
-    futures = cohort.concurrent.futures
 
-    class RecordingPool(futures.ProcessPoolExecutor):
+    class RecordingPool(cohort.ThreadPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cohort, "ThreadPoolExecutor", RecordingPool)
     return sizes
 
 
 def test_pool_spreads_one_patients_pairs(identical_patient, pool_sizes):
-    # one patient with two week pairs still gets two processes
+    # one patient with two week pairs still gets two threads; workers=1
+    # maps its pairs over a pool of one
     report = run_cohort([identical_patient], FAST, workers=2)
     assert pool_sizes == [2]
     assert report.as_dict() == run_cohort([identical_patient], FAST).as_dict()
+    assert pool_sizes == [2, 1]
+
+
+def test_pairs_run_concurrently_in_the_calling_process(monkeypatch, identical_patient):
+    # each fake pair waits until the other has started: two in flight at once
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def fake_pair_samples(pair, params):
+        seen.append((os.getpid(), threading.get_ident()))
+        barrier.wait()
+        rng = np.random.default_rng(pair[2].week)
+        return RegionSamples({r: rng.normal(1.0, 0.05, 50) for r in REGIONS}), False
+
+    monkeypatch.setattr(cohort, "pair_samples", fake_pair_samples)
+    report = run_cohort([identical_patient], FAST, workers=2)
+    assert {pid for pid, _ in seen} == {os.getpid()}
+    assert len({ident for _, ident in seen}) == 2
+    assert threading.get_ident() not in {ident for _, ident in seen}
+    assert len(report.patients) == 1
 
 
 def preset_record(pid, label, n_weeks, n_pairs, rng):
@@ -353,11 +374,15 @@ def preset_record(pid, label, n_weeks, n_pairs, rng):
     return PatientRecord(pid, weeks, RecistLabel(label), pairs)
 
 
-def test_preset_samples_start_no_pool(pool_sizes):
+def test_preset_samples_start_no_pool(monkeypatch):
+    # records with preset samples register no pair, whatever workers says
+    def no_pair(pair, params):
+        raise AssertionError(f"registered {pair[0]}")
+
+    monkeypatch.setattr(cohort, "pair_samples", no_pair)
     rng = np.random.default_rng(7)
     records = [preset_record("p0", "PR", 3, 2, rng), preset_record("p1", "PD", 2, 1, rng)]
     report = run_cohort(records, workers=2)
-    assert pool_sizes == []
     assert report.as_dict() == run_cohort(records, workers=1).as_dict()
 
 

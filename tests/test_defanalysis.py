@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defield import defanalysis
+from defield import grids
 from defield.defanalysis import (
     CSV_CHUNK,
     LABEL_G,
     LABEL_N,
     LABEL_R,
     LABEL_U,
-    SLAB_PLANES,
     JacobianMap,
     RegionSamples,
     _gather,
@@ -117,8 +116,8 @@ def test_slabbed_jacobian_matches_whole_grid_bitwise(dims, kind):
             VectorField(g, rng.normal(0.0, 2.0, (3, *dims))), 1.0)
     ref = whole_grid_jacobian(field)
     # each slab's float64 determinant, before its cast into the result
-    for x0 in range(0, dims[0], SLAB_PLANES):
-        x1 = min(x0 + SLAB_PLANES, dims[0])
+    for x0 in range(0, dims[0], grids.SLAB_PLANES):
+        x1 = min(x0 + grids.SLAB_PLANES, dims[0])
         assert _slab_determinant(field.data, x0, x1).tobytes() == ref[x0:x1].tobytes()
     # the float32 result: the same bytes as the whole-grid determinant cast once
     jm = jacobian_map(field)
@@ -248,11 +247,11 @@ class TestCollectSamples:
         s = RegionSamples({"U": values})
         assert s.mean("U") == float(values.astype(np.float64).mean())
 
-    @pytest.mark.parametrize("planes", [3, SLAB_PLANES])
+    @pytest.mark.parametrize("planes", [3, grids.SLAB_PLANES])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slabbed_gather_matches_boolean_index(self, monkeypatch, planes, dtype):
         # 13 interior x-planes in slabs of 3 (4 x 3 + 1) and of the default
-        monkeypatch.setattr(defanalysis, "SLAB_PLANES", planes)
+        monkeypatch.setattr(grids, "SLAB_PLANES", planes)
         g = GridGeometry((15, 9, 11))
         rng = np.random.default_rng(12)
         part = partition_regions(Mask(g, (rng.random(g.dims) < 0.4).astype(np.uint8)),

@@ -15,10 +15,10 @@ from defield.grids import (
     ValidationError,
     VectorField,
     Volume,
+    _upsample_array,
     downsample2,
     gaussian_kernel1d,
     gaussian_smooth,
-    upsample_field,
     warp_mask,
     warp_volume,
 )
@@ -321,24 +321,20 @@ class TestPyramid:
             downsample2(full_volume(GridGeometry((3, 8, 8)), 0.0))
 
     def test_upsample_uniform_doubles(self):
-        coarse = GridGeometry((4, 4, 4), spacing=(2, 2, 2))
-        fine = GridGeometry((8, 8, 8))
-        field = VectorField(coarse, np.ones((3, 4, 4, 4), dtype=np.float32))
-        out = upsample_field(field, fine)
-        assert out.geometry == fine
-        assert np.allclose(out.data, 2.0, atol=1e-6)
+        out = _upsample_array(np.ones((3, 4, 4, 4), dtype=np.float32), (8, 8, 8))
+        assert out.shape == (3, 8, 8, 8) and out.dtype == np.float32
+        assert np.allclose(out, 2.0, atol=1e-6)
 
     def test_upsample_allocates_its_result_once(self):
-        # per fine voxel: the float32 result (12 B), which the field adopts
-        # and which is doubled in place, and one x-slab of coordinates
-        # (1.5 B at 64^3); 15.0 B measured, 24 with whole-grid coordinates
-        coarse = GridGeometry((32, 32, 32), spacing=(2, 2, 2))
+        # per fine voxel: the float32 result (12 B), which is doubled in
+        # place, and one x-slab of coordinates (1.5 B at 64^3); 15.0 B
+        # measured, 24 with whole-grid coordinates
         fine = GridGeometry((64, 64, 64))
         rng = np.random.default_rng(7)
-        field = VectorField(coarse, rng.normal(size=(3, *coarse.dims)).astype(np.float32))
+        data = rng.normal(size=(3, 32, 32, 32)).astype(np.float32)
         tracemalloc.start()
         try:
-            upsample_field(field, fine)
+            _upsample_array(data, fine.dims)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -26,7 +26,6 @@ from defield.phantom import (
     PhantomSpec,
     RadialComponent,
     RadialMap,
-    blob_volume,
     pullback,
     synth_cohort,
 )
@@ -42,7 +41,7 @@ from defield.registration import (
     register,
     save_transform,
 )
-from oracles import full_volume, mean_norm
+from oracles import blob_volume, full_volume, mean_norm
 
 G24 = GridGeometry((24, 24, 24))
 
@@ -401,8 +400,8 @@ def test_identity_energy_once_at_the_finest_level(monkeypatch):
 
 
 def test_register_leaves_no_thread_behind():
-    # a helper thread that outlives register would be inherited, dead, by
-    # the children of a later fork (run_cohort's process pool)
+    # a helper thread that outlived register would pile up, one per pair,
+    # in a process that registers a cohort on run_cohort's pool threads
     before = threading.active_count()
     register(*_small_pair(41), SMALL_PARAMS)
     assert threading.active_count() == before

@@ -130,8 +130,8 @@ class TestBootstrapCI:
         assert (ci.lo.hex(), ci.hi.hex()) == (float(lo).hex(), float(hi).hex())
 
     def test_leaves_no_thread_behind(self):
-        # a helper thread that outlives the call would be inherited, dead,
-        # by the children of a later fork (run_cohort's process pool)
+        # a helper thread that outlived the call would pile up, one per
+        # call, in a process that bootstraps many samples
         before = threading.active_count()
         bootstrap_ci(np.random.default_rng(12).normal(size=5000), b=200, seed=1)
         assert threading.active_count() == before

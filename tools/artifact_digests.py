@@ -19,7 +19,7 @@ pair; register and stats again with their keys from --config files
 --workers 1, with --workers 2, and with population/test splits; classify
 of the first shrink patient's weeks 0, 2 and 3 (gapped.csv), whose pair
 2->3 lies outside the first three weeks, with --workers 1 and with
---workers 2 (one patient whose pairs spread over two processes);
+--workers 2 (one patient whose pairs spread over two threads);
 classify of the stable cohort, whose notes hold commas;
 reproduce-paper; one missing-input error; classify --workers abc; phantom
 with --noise-sd nan and with --recist XX; stats with a directory as

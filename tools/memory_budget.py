@@ -30,7 +30,12 @@ The probes:
   patients of 4 weeks at 32^3 (9 week pairs, written by an untraced
   `phantom` run first). Its peak is the last pair's `register` next to
   the earlier pairs' float32 region samples (4 B per interior voxel
-  each); the pooled float64 groups are built one at a time afterwards.
+  each); the pooled float64 groups are built one at a time afterwards;
+* classify-32-w2: the same `classify` with `--workers 2`. Its pairs run
+  on two threads of the traced process, so its peak counts two
+  registrations in flight at once. With --src naming an older tree whose
+  `classify` spread pairs over worker processes, tracemalloc sees only
+  the parent process, so that tree's line does not count the pairs.
 
 The peaks count numpy's arrays and Python's objects, not the interpreter
 or the libraries' own buffers. `register` runs its two halves on two
@@ -87,6 +92,8 @@ COHORT_GRID = 32
 COHORT = ["phantom", "--out", "cohort", "--grid", str(COHORT_GRID), "--weeks", "4",
           "--patients", "3", "--seed", "7"]
 CLASSIFY = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify"]
+CLASSIFY_W2 = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify-w2",
+               "--workers", "2"]
 
 
 def run(args: list[str], env: dict, cwd: str) -> tuple[str | None, str]:
@@ -128,9 +135,12 @@ def main(argv=None) -> int:
                       if made is not None else (None, f"phantom: {reason}"))
             report(f"{name}-{GRID}", result)
         made, reason = run(["-m", "defield.cli", *COHORT], env, workdir)
-        result = (run(["-c", COMMAND_PROBE, str(COHORT_GRID ** 3), *CLASSIFY], env, workdir)
-                  if made is not None else (None, f"phantom: {reason}"))
-        report(f"classify-{COHORT_GRID}", result)
+        for name, cli_args in ((f"classify-{COHORT_GRID}", CLASSIFY),
+                               (f"classify-{COHORT_GRID}-w2", CLASSIFY_W2)):
+            result = (run(["-c", COMMAND_PROBE, str(COHORT_GRID ** 3), *cli_args],
+                          env, workdir)
+                      if made is not None else (None, f"phantom: {reason}"))
+            report(name, result)
     return 1 if failed else 0
 
 
