@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-# x-planes per slab of jacobian_map, _gather, warp_mask and _upsample_array:
-# bounds the per-slab temporaries
+# x-planes per slab of jacobian_map, _gather, _pull and _upsample_array:
+# bounds the per-slab temporaries (_pull's coordinates, 12 B per slab voxel)
 SLAB_PLANES = 8
 
 
@@ -141,18 +141,14 @@ def require_same_geometry(a, b) -> None:
 
 
 def _sample_many(data: np.ndarray, coords: np.ndarray, order: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> None:
     """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...)
-    into out, or into one new array; each component is sampled into its
-    plane."""
-    if out is None:
-        out = np.empty((*data.shape[:-3], *coords.shape[1:]), dtype=data.dtype)
+    into out, each component into its plane."""
     # mode="nearest" extends edges, which for order<=1 equals clamping the
     # coordinates to [0, dim-1].
     for comp, plane in zip(data, out) if data.ndim == 4 else [(data, out)]:
         ndimage.map_coordinates(comp, coords, output=plane, order=order,
                                 mode="nearest")
-    return out
 
 
 def _axis_indices(x0: int, shape) -> list[np.ndarray]:
@@ -174,9 +170,14 @@ def _coords(disp: np.ndarray, x0: int, x1: int) -> np.ndarray:
 
 
 def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
-    """Sample data (scalar or 3-component) through the mapping z - disp(z),
-    building the coordinate grid once for all components."""
-    return _sample_many(data, _coords(disp, 0, disp.shape[1]), order)
+    """Sample data (scalar or 3-component) through the mapping z - disp(z)
+    into one new array, in x-slabs of SLAB_PLANES planes: each slab's
+    coordinates are built once and serve every component."""
+    out = np.empty((*data.shape[:-3], *disp.shape[1:]), dtype=data.dtype)
+    for x0 in range(0, disp.shape[1], SLAB_PLANES):
+        x1 = x0 + SLAB_PLANES
+        _sample_many(data, _coords(disp, x0, x1), order, out[..., x0:x1, :, :])
+    return out
 
 
 def warp_volume(vol: Volume, disp: VectorField) -> Volume:
@@ -186,14 +187,10 @@ def warp_volume(vol: Volume, disp: VectorField) -> Volume:
 
 
 def warp_mask(mask: Mask, disp: VectorField) -> Mask:
-    """Resample a binary mask through z - g(z) (nearest neighbor), in
-    x-slabs of SLAB_PLANES planes of coordinates."""
+    """Resample a binary mask through z - g(z) (nearest neighbor), through
+    _pull's x-slabs of coordinates."""
     require_same_geometry(mask, disp)
-    out = np.empty(mask.geometry.dims, dtype=np.uint8)
-    for x0 in range(0, len(out), SLAB_PLANES):
-        x1 = x0 + SLAB_PLANES
-        _sample_many(mask.data, _coords(disp.data, x0, x1), 0, out=out[x0:x1])
-    return Mask(mask.geometry, _handover(out))
+    return Mask(mask.geometry, _handover(_pull(mask.data, disp.data, order=0)))
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -290,6 +287,6 @@ def _upsample_array(data: np.ndarray, dims) -> np.ndarray:
         coords = np.empty((3, x1 - x0, *dims[1:]), dtype=np.float32)
         for axis, index in enumerate(_axis_indices(x0, coords.shape[1:])):
             np.multiply(index, 0.5, out=coords[axis])
-        _sample_many(data, coords, 1, out=out[:, x0:x1])
+        _sample_many(data, coords, 1, out[:, x0:x1])
     out *= 2.0
     return out

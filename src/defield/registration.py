@@ -40,16 +40,22 @@ What a state holds, in float32 bytes per voxel: its velocity v, exp(v),
 exp(-v) and the warped source (40), each half's local statistics (mbar,
 A, B and the valid mask, 26 in all) until its direction is built from
 them, and then the fluid-smoothed direction (12). A candidate is a state
-built from smooth(v + s d / max|d|). While it is built, each half holds
-the scaled velocity, the sampling coordinates and the sampled output of
-one squaring step (36). The grid kernels write into the arrays they
-return, and the backward half scales v by -2^-steps instead of negating
-a copy. A rejected candidate is freed before the next one is built, and
-a level's last state drops its statistics and its direction, so the
-final never-worse-than-identity check sees only the final state and the
-target's fixed statistics. register peaks while a candidate's two halves
-run, next to the state (52), the level's fixed statistics (16) and the
-candidate velocity (12).
+built from smooth(v + s d / max|d|). A squaring step holds the scaled
+velocity and the sampled output (24) and one x-slab of sampling
+coordinates. The grid kernels write into the arrays they return, and the
+backward half scales v by -2^-steps instead of negating a copy. A
+rejected candidate is freed before the next one is built, and a level's
+last state drops its statistics and its direction, so the final
+never-worse-than-identity check sees only the final state and the
+target's fixed statistics. register peaks while an accepted state's two
+halves build their forces (_lcc_force) on their two threads. Alive then
+are the state (40), its local statistics (26), the level's fixed
+statistics (16), the direction of the state it replaced, which register's
+loop still binds (12), and each half's force with its temporaries (about
+35). A candidate's two _lcc passes come close: each half holds its
+exponential, warped image, local statistics and squared correlation
+(37), next to the state with its direction (52), the fixed statistics
+and the candidate velocity (12).
 
 Scaling and squaring takes the fewest steps that keep the scaled velocity
 below half a voxel (auto_exp_steps, as in Arsigny et al., MICCAI 2006);

@@ -40,8 +40,11 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("planes", [3, 7, grids.SLAB_PLANES])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pull_matches_stacked_samples(seed):
+def test_pull_matches_stacked_samples(seed, planes, monkeypatch):
+    # 7 x-planes in slabs of 3 (3, 3, 1), of 7 (one slab) and of the default
+    monkeypatch.setattr(grids, "SLAB_PLANES", planes)
     rng = np.random.default_rng(100 + seed)
     disp = _displacement(seed)
     volume = rng.normal(size=DIMS).astype(np.float32)

@@ -1,5 +1,6 @@
 """Print the tracemalloc peak, in bytes per voxel, of `register` and of the
-`phantom`, `jacobian`, `regions`, `stats` and `classify` commands.
+`phantom`, `jacobian`, `regions`, `stats` and `classify` commands, and the
+peak RSS, in MB, of an untraced `classify`.
 
 Usage:
 
@@ -8,7 +9,9 @@ Usage:
 Each probe runs in its own `python` subprocess with SRC (default: the `src`
 directory next to this script) on PYTHONPATH. It imports the package,
 starts tracemalloc, runs one call and prints the call's traced peak
-divided by the grid's voxel count. Two trees compare line by line:
+divided by the grid's voxel count; the RSS probe starts no tracemalloc
+and prints the process's ru_maxrss instead. Two trees compare line by
+line:
 
     diff <(python tools/memory_budget.py --src old/src) \\
          <(python tools/memory_budget.py)
@@ -35,13 +38,20 @@ The probes:
   on two threads of the traced process, so its peak counts two
   registrations in flight at once. With --src naming an older tree whose
   `classify` spread pairs over worker processes, tracemalloc sees only
-  the parent process, so that tree's line does not count the pairs.
+  the parent process, so that tree's line does not count the pairs;
+* classify-32-rss: the same `classify` as classify-32, untraced, in MB of
+  peak resident memory (ru_maxrss): the interpreter, the libraries and
+  what the allocator keeps of freed memory, which tracemalloc cannot see.
+  A change in how large short-lived arrays are allocated can move it
+  with no change in the traced peaks.
 
-The peaks count numpy's arrays and Python's objects, not the interpreter
-or the libraries' own buffers. `register` runs its two halves on two
-threads, so its peak moves with their interleaving (about 12 B per voxel
-between runs). Each line reads `<probe> <B/voxel>`. The exit code is 1 if a
-probe fails, after every probe has run. Standard library only.
+The traced peaks count numpy's arrays and Python's objects, not the
+interpreter or the libraries' own buffers. `register` runs its two halves
+on two threads, so its peak moves with their interleaving (about 12 B per
+voxel between runs). Each line reads `<probe> <value> <unit>`, the unit
+being `B/voxel` for a traced peak and `MB` for classify-32-rss. The exit
+code is 1 if a probe fails, after every probe has run. Standard library
+only.
 """
 from __future__ import annotations
 
@@ -77,6 +87,16 @@ if code != 0:
 print(tracemalloc.get_traced_memory()[1] / n_voxels)
 """
 
+RSS_PROBE = """
+import resource, sys
+from defield import cli
+code = cli.main(sys.argv[1:])
+if code != 0:
+    sys.exit(f"exit code {code}")
+# ru_maxrss is in KiB on Linux
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 GRID = 64
 PHANTOM = ["phantom", "--out", "phantom", "--grid", str(GRID), "--weeks", "2",
            "--patients", "1", "--seed", "7"]
@@ -94,6 +114,7 @@ COHORT = ["phantom", "--out", "cohort", "--grid", str(COHORT_GRID), "--weeks", "
 CLASSIFY = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify"]
 CLASSIFY_W2 = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify-w2",
                "--workers", "2"]
+CLASSIFY_RSS = ["classify", "--manifest", "cohort/manifest.csv", "--out", "classify-rss"]
 
 
 def run(args: list[str], env: dict, cwd: str) -> tuple[str | None, str]:
@@ -116,14 +137,14 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     failed = False
 
-    def report(name: str, result: tuple[str | None, str]) -> None:
+    def report(name: str, result: tuple[str | None, str], unit: str = "B/voxel") -> None:
         nonlocal failed
         value, reason = result
         if value is None:
             failed = True
             print(f"{name} failed: {reason}")
         else:
-            print(f"{name} {float(value):.1f}")
+            print(f"{name} {float(value):.1f} {unit}")
 
     with tempfile.TemporaryDirectory() as workdir:
         for n in (32, 64):
@@ -141,6 +162,9 @@ def main(argv=None) -> int:
                           env, workdir)
                       if made is not None else (None, f"phantom: {reason}"))
             report(name, result)
+        result = (run(["-c", RSS_PROBE, *CLASSIFY_RSS], env, workdir)
+                  if made is not None else (None, f"phantom: {reason}"))
+        report(f"classify-{COHORT_GRID}-rss", result, "MB")
     return 1 if failed else 0
 
 
