@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grids, volio
+from . import volio
 from .grids import (
     GridGeometry,
     Mask,
@@ -26,6 +26,7 @@ from .grids import (
     Volume,
     _frozen,
     _handover,
+    _x_slabs,
     require_same_geometry,
 )
 
@@ -99,7 +100,7 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
 
     Central differences at interior voxels, one-sided at faces. A zero
     field yields J = 1 everywhere. The differences are local, so the map is
-    built in x-slabs of grids.SLAB_PLANES planes with a one-plane halo, each
+    built in the x-slabs of _x_slabs with a one-plane halo, each
     slab's float64 determinant cast into the float32 result: bit for bit
     the whole-grid computation followed by one cast.
     """
@@ -107,8 +108,7 @@ def jacobian_map(disp: VectorField) -> JacobianMap:
     if any(d < 3 for d in dims):
         raise ValidationError(f"jacobian_map needs dims >= 3, got {dims}")
     jac = np.empty(dims, dtype=np.float32)
-    for x0 in range(0, dims[0], grids.SLAB_PLANES):
-        x1 = min(x0 + grids.SLAB_PLANES, dims[0])
+    for x0, x1 in _x_slabs(dims[0]):
         jac[x0:x1] = _slab_determinant(disp.data, x0, x1)
     return JacobianMap(disp.geometry, _handover(jac))
 
@@ -183,7 +183,7 @@ def _gather(jmap: JacobianMap, part: RegionPartition, dtype) -> RegionSamples:
     """Each region's interior Jacobian values as dtype, in C order: the
     one interior and label rule of collect_samples and of a cohort's
     float32 pair samples. Each region's result is allocated once and filled
-    from x-slabs of grids.SLAB_PLANES planes, so no whole-region float32
+    from the x-slabs of _x_slabs, so no whole-region float32
     gather sits next to a float64 result."""
     require_same_geometry(jmap, part)
     sl = _interior(jmap.geometry.dims)
@@ -194,8 +194,7 @@ def _gather(jmap: JacobianMap, part: RegionPartition, dtype) -> RegionSamples:
         code = _CODE[region]
         out = gathered[region] = np.empty(np.count_nonzero(labels == code), dtype)
         end = 0
-        for x0 in range(0, len(labels), grids.SLAB_PLANES):
-            x1 = x0 + grids.SLAB_PLANES
+        for x0, x1 in _x_slabs(len(labels)):
             slab = values[x0:x1][labels[x0:x1] == code]
             out[end:end + slab.size] = slab
             end += slab.size

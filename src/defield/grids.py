@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-# x-planes per slab of jacobian_map, _gather, _pull and _upsample_array:
-# bounds the per-slab temporaries (_pull's coordinates, 12 B per slab voxel)
+# x-planes per slab of _x_slabs, the slab walk of jacobian_map, _gather and
+# _pull (so of every warp and upsampling): bounds the per-slab temporaries
+# (_pull's coordinates, 12 B per slab voxel)
 SLAB_PLANES = 8
 
 
@@ -140,43 +141,33 @@ def require_same_geometry(a, b) -> None:
             f"geometry mismatch: {a.geometry} vs {b.geometry}")
 
 
-def _sample_many(data: np.ndarray, coords: np.ndarray, order: int,
-                 out: np.ndarray) -> None:
-    """Sample a scalar or a (3, nx, ny, nz) array at index coordinates (3, ...)
-    into out, each component into its plane."""
-    # mode="nearest" extends edges, which for order<=1 equals clamping the
-    # coordinates to [0, dim-1].
-    for comp, plane in zip(data, out) if data.ndim == 4 else [(data, out)]:
-        ndimage.map_coordinates(comp, coords, output=plane, order=order,
-                                mode="nearest")
+def _x_slabs(nx: int):
+    """(x0, x1) for each slab of SLAB_PLANES x-planes of a grid nx planes
+    thick, the last slab partial: the one slab walk of jacobian_map,
+    _gather and _pull."""
+    for x0 in range(0, nx, SLAB_PLANES):
+        yield x0, min(x0 + SLAB_PLANES, nx)
 
 
-def _axis_indices(x0: int, shape) -> list[np.ndarray]:
-    """Each axis's float32 voxel indices on the x-planes x0:x0 + shape[0]
-    of a grid, one arange per axis shaped to broadcast over `shape`."""
-    return [np.arange(start, start + n, dtype=np.float32).reshape(
-                [n if i == axis else 1 for i in range(3)])
-            for axis, (start, n) in enumerate(zip((x0, 0, 0), shape))]
-
-
-def _coords(disp: np.ndarray, x0: int, x1: int) -> np.ndarray:
-    """The float32 coordinates z - disp(z) of the x-planes x0:x1: each
-    axis's index minus that component of disp, written into one buffer."""
-    part = disp[:, x0:x1]
-    coords = np.empty(part.shape, dtype=np.float32)
-    for axis, index in enumerate(_axis_indices(x0, part.shape[1:])):
-        np.subtract(index, part[axis], out=coords[axis])
-    return coords
-
-
-def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1) -> np.ndarray:
-    """Sample data (scalar or 3-component) through the mapping z - disp(z)
-    into one new array, in x-slabs of SLAB_PLANES planes: each slab's
-    coordinates are built once and serve every component."""
+def _pull(data: np.ndarray, disp: np.ndarray, order: int = 1,
+          scale: float = 1.0) -> np.ndarray:
+    """Sample data (scalar or 3-component) at scale * z - disp(z) into one
+    new array. Each x-slab's float32 coordinates are built into one buffer,
+    which serves every component and is freed before the next slab's."""
     out = np.empty((*data.shape[:-3], *disp.shape[1:]), dtype=data.dtype)
-    for x0 in range(0, disp.shape[1], SLAB_PLANES):
-        x1 = x0 + SLAB_PLANES
-        _sample_many(data, _coords(disp, x0, x1), order, out[..., x0:x1, :, :])
+    x, y, z = (np.arange(n, dtype=np.float32) * scale for n in disp.shape[1:])
+    pairs = list(zip(data, out)) if data.ndim == 4 else [(data, out)]
+    for x0, x1 in _x_slabs(len(x)):
+        part = disp[:, x0:x1]
+        coords = np.empty(part.shape, dtype=np.float32)
+        for axis, row in enumerate((x[x0:x1, None, None], y[:, None], z)):
+            np.subtract(row, part[axis], out=coords[axis])
+        # mode="nearest" extends edges, which for order<=1 equals clamping
+        # the coordinates to [0, dim-1]
+        for comp, plane in pairs:
+            ndimage.map_coordinates(comp, coords, output=plane[x0:x1],
+                                    order=order, mode="nearest")
+        del coords
     return out
 
 
@@ -187,8 +178,7 @@ def warp_volume(vol: Volume, disp: VectorField) -> Volume:
 
 
 def warp_mask(mask: Mask, disp: VectorField) -> Mask:
-    """Resample a binary mask through z - g(z) (nearest neighbor), through
-    _pull's x-slabs of coordinates."""
+    """Resample a binary mask through z - g(z) (nearest neighbor)."""
     require_same_geometry(mask, disp)
     return Mask(mask.geometry, _handover(_pull(mask.data, disp.data, order=0)))
 
@@ -277,16 +267,9 @@ def _upsample_array(data: np.ndarray, dims) -> np.ndarray:
     grid), as one new array.
 
     Inverse of the downsample2 index convention: fine voxel f samples the
-    coarse array at f/2. The coordinates are built for x-slabs of
-    SLAB_PLANES fine planes, each sampled into its planes of the result,
-    which is then doubled in place.
+    coarse array at f/2, a _pull through a zero displacement (a broadcast
+    view, no array) at scale 0.5; the result is then doubled in place.
     """
-    out = np.empty((3, *dims), dtype=np.float32)
-    for x0 in range(0, dims[0], SLAB_PLANES):
-        x1 = min(x0 + SLAB_PLANES, dims[0])
-        coords = np.empty((3, x1 - x0, *dims[1:]), dtype=np.float32)
-        for axis, index in enumerate(_axis_indices(x0, coords.shape[1:])):
-            np.multiply(index, 0.5, out=coords[axis])
-        _sample_many(data, coords, 1, out[:, x0:x1])
+    out = _pull(data, np.broadcast_to(np.float32(0), (3, *dims)), scale=0.5)
     out *= 2.0
     return out

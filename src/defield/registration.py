@@ -47,15 +47,17 @@ backward half scales v by -2^-steps instead of negating a copy. A
 rejected candidate is freed before the next one is built, and a level's
 last state drops its statistics and its direction, so the final
 never-worse-than-identity check sees only the final state and the
-target's fixed statistics. register peaks while an accepted state's two
-halves build their forces (_lcc_force) on their two threads. Alive then
-are the state (40), its local statistics (26), the level's fixed
-statistics (16), the direction of the state it replaced, which register's
-loop still binds (12), and each half's force with its temporaries (about
-35). A candidate's two _lcc passes come close: each half holds its
-exponential, warped image, local statistics and squared correlation
-(37), next to the state with its direction (52), the fixed statistics
-and the candidate velocity (12).
+target's fixed statistics. register's loop drops its reference to a
+direction once the candidate velocity is built from it, so a replaced
+state's direction is freed with that state. register peaks in one of two
+places, within a few bytes per voxel of each other; the two threads'
+interleaving decides which. One is a candidate's two _lcc passes: each
+half holds its exponential, warped image, local statistics and squared
+correlation (37), next to the state with its direction (52), the fixed
+statistics (16) and the candidate velocity (12). The other is an
+accepted state's two halves building their forces (_lcc_force): the
+state (40), its local statistics (26), the fixed statistics (16) and
+each half's force with its temporaries (about 35).
 
 Scaling and squaring takes the fewest steps that keep the scaled velocity
 below half a voxel (auto_exp_steps, as in Arsigny et al., MICCAI 2006);
@@ -383,6 +385,7 @@ def register(source: Volume, target: Volume,
                     break
                 # v + s d / max|d|, summed in the scaled direction's array
                 v_cand = d * (step / dmax)
+                del d  # the state alone keeps its direction
                 v_cand += state.v
                 v_cand = _smooth_field_array(v_cand, params.diffusion_sigma)
                 cand = _LevelState(v_cand, fwd_in, bwd_in, params, pool)

@@ -247,10 +247,11 @@ class TestCollectSamples:
         s = RegionSamples({"U": values})
         assert s.mean("U") == float(values.astype(np.float64).mean())
 
-    @pytest.mark.parametrize("planes", [3, grids.SLAB_PLANES])
+    @pytest.mark.parametrize("planes", [3, 7, grids.SLAB_PLANES])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slabbed_gather_matches_boolean_index(self, monkeypatch, planes, dtype):
-        # 13 interior x-planes in slabs of 3 (4 x 3 + 1) and of the default
+        # 13 interior x-planes in slabs of 3 (4 x 3 + 1), of 7 (7 + 6) and
+        # of the default
         monkeypatch.setattr(grids, "SLAB_PLANES", planes)
         g = GridGeometry((15, 9, 11))
         rng = np.random.default_rng(12)

@@ -615,6 +615,36 @@ def test_register_peak_memory_per_voxel():
         assert peak / grid.n_voxels <= 190, n
 
 
+def test_no_replaced_direction_outlives_its_state(monkeypatch):
+    """When a state builds its direction (_lcc_force), no earlier state's
+    direction is alive: register's loop drops its reference to a direction
+    once the candidate velocity is built from it, so an accepted candidate
+    frees the direction of the state it replaces."""
+    directions, alive = [], []
+    lock = threading.Lock()  # the helper thread builds forces too
+
+    def direction(self, _direction=registration._LevelState.direction):
+        d, dmax = _direction(self)
+        with lock:
+            directions.append(weakref.ref(d))
+        return d, dmax
+
+    def lcc_force(*args, _lcc_force=registration._lcc_force):
+        with lock:
+            alive.append(len({id(d) for d in (r() for r in directions)
+                              if d is not None}))
+        return _lcc_force(*args)
+
+    monkeypatch.setattr(registration._LevelState, "direction", direction)
+    monkeypatch.setattr(registration, "_lcc_force", lcc_force)
+    _, trace = register(*_small_pair(31),
+                        RegistrationParams(pyramid_levels=1,
+                                           iterations_per_level=20))
+    # directions were built after accepted candidates
+    assert sum(e.accepted for e in trace.entries) >= 2
+    assert len(alive) > 2 and alive == [0] * len(alive)
+
+
 def test_only_the_final_state_survives_to_the_final_check(monkeypatch):
     """When the final never-worse-than-identity check's _lcc runs, every
     other state (the last rejected candidate among them), every local
