@@ -29,7 +29,7 @@ from . import volio
 from .defanalysis import (
     REGIONS,
     RegionSamples,
-    _gather,
+    collect_samples,
     jacobian_map,
     partition_regions,
     pool,
@@ -147,7 +147,7 @@ def pair_samples(pair: tuple[str, WeekEntry, WeekEntry],
         transform, trace = register(vol_prev, vol_next, params)
         warped = warp_mask(mask_prev, transform.forward)
         part = partition_regions(warped, mask_next)
-        return (_gather(jacobian_map(transform.forward), part, np.float32),
+        return (collect_samples(jacobian_map(transform.forward), part, np.float32),
                 trace.identity_fallback)
     except (GeometryMismatch, ValidationError) as exc:
         raise type(exc)(f"patient {patient_id}, weeks {earlier.week}->"
@@ -388,24 +388,16 @@ def run_cohort(records: list[PatientRecord],
     for group, members in group_samples.items():
         if not members:
             continue
-        summaries, rows = _group_rows(group, members)
-        boxplot += rows
+        pooled = pool(members)
+        summaries = region_summaries(pooled)
+        boxplot += boxplot_rows(pooled, summaries, group=group)
+        del pooled  # the float64 copy goes before the next group is pooled
         if group == "all":
             try:
                 ordering = population_ordering(summaries)
             except ValidationError as exc:
                 warnings.append(f"ordering: {exc}")
     return CohortReport(results, tables, ordering, warnings, boxplot)
-
-
-def _group_rows(group: str, members: list[RegionSamples]
-                ) -> tuple[dict[str, SummaryStats | None], list[dict]]:
-    """The region summaries and box-plot rows of one response group's
-    pooled samples; the pooled float64 copy is freed on return, before the
-    next group is pooled."""
-    pooled = pool(members)
-    summaries = region_summaries(pooled)
-    return summaries, boxplot_rows(pooled, summaries, group=group)
 
 
 def _recist(path, token: str) -> RecistLabel:

@@ -64,8 +64,8 @@ class RegionPartition:
 
 @dataclass
 class RegionSamples:
-    """Jacobian values per region, all positive: float32 when gathered
-    from a Jacobian map for a cohort's week pair (the map's own dtype),
+    """Jacobian values per region, all positive: float32 for a cohort's
+    week pair (the map's own dtype, collect_samples(..., np.float32)),
     float64 otherwise, as collect_samples and read_samples_csv give them.
     A float32 array is kept as given and anything else is converted to
     float64. pool and mean widen to float64 before they reduce, so every
@@ -170,21 +170,14 @@ def _interior(dims) -> tuple[slice, slice, slice]:
     return tuple(slice(1, d - 1) for d in dims)
 
 
-def collect_samples(jmap: JacobianMap, part: RegionPartition) -> RegionSamples:
-    """Group Jacobian values by region label, as float64.
+def collect_samples(jmap: JacobianMap, part: RegionPartition,
+                    dtype=np.float64) -> RegionSamples:
+    """Each region's interior Jacobian values as dtype, in C order.
 
     Face voxels are excluded: their one-sided stencils bias the
-    determinant.
-    """
-    return _gather(jmap, part, np.float64)
-
-
-def _gather(jmap: JacobianMap, part: RegionPartition, dtype) -> RegionSamples:
-    """Each region's interior Jacobian values as dtype, in C order: the
-    one interior and label rule of collect_samples and of a cohort's
-    float32 pair samples. Each region's result is allocated once and filled
-    from the x-slabs of _x_slabs, so no whole-region float32
-    gather sits next to a float64 result."""
+    determinant. Each region's result is allocated once and filled from
+    the x-slabs of _x_slabs, so no whole-region float32 gather sits next
+    to a float64 result."""
     require_same_geometry(jmap, part)
     sl = _interior(jmap.geometry.dims)
     values = jmap.data[sl]

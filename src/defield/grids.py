@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-# x-planes per slab of _x_slabs, the slab walk of jacobian_map, _gather and
-# _pull (so of every warp and upsampling): bounds the per-slab temporaries
-# (_pull's coordinates, 12 B per slab voxel)
+# x-planes per slab of _x_slabs, the slab walk of jacobian_map,
+# collect_samples and _pull (so of every warp and upsampling): bounds the
+# per-slab temporaries (_pull's coordinates, 12 B per slab voxel)
 SLAB_PLANES = 8
 
 
@@ -144,7 +144,7 @@ def require_same_geometry(a, b) -> None:
 def _x_slabs(nx: int):
     """(x0, x1) for each slab of SLAB_PLANES x-planes of a grid nx planes
     thick, the last slab partial: the one slab walk of jacobian_map,
-    _gather and _pull."""
+    collect_samples and _pull."""
     for x0 in range(0, nx, SLAB_PLANES):
         yield x0, min(x0 + SLAB_PLANES, nx)
 

@@ -134,21 +134,15 @@ def grid_center(grid: GridGeometry) -> tuple[float, float, float]:
     return tuple((d - 1) / 2.0 for d in grid.dims)
 
 
-def pullback(rm: RadialMap, center,
-             grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
+def _pullback(rm: RadialMap, grid: GridGeometry, offsets: np.ndarray,
+              radii: np.ndarray, where: np.ndarray) -> tuple[VectorField, JacobianMap]:
     """Displacement g with z - g(z) = inverse of the radial map, together
-    with its analytic Jacobian 1 / J(map^{-1}(r)).
+    with its analytic Jacobian 1 / J(map^{-1}(r)), solved on the distinct
+    radii of _distinct and expanded through where.
 
     This is the forward registration field for an anatomy that evolved by
     rm: warping a week-k image with it produces the week-(k+1) image.
     """
-    offsets, r = _radius_grid(grid, center)
-    return _pullback(rm, grid, offsets, *_distinct(r))
-
-
-def _pullback(rm: RadialMap, grid: GridGeometry, offsets: np.ndarray,
-              radii: np.ndarray, where: np.ndarray) -> tuple[VectorField, JacobianMap]:
-    """pullback, solved on the distinct radii and expanded through where."""
     rinv = rm.inverse(radii)
     scale = np.ones_like(radii)
     nonzero = radii > 1e-12

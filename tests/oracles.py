@@ -14,6 +14,8 @@ from defield.phantom import (
     RadialComponent,
     RadialMap,
     _blob,
+    _distinct,
+    _pullback,
     _radius_grid,
     grid_center,
 )
@@ -61,6 +63,16 @@ def radial_gaussian_field(center, amplitude: float, width: float,
     disp = (-offsets * comp.factor(r)).astype(np.float32)
     jac = comp.jacobian(r).astype(np.float32)
     return VectorField(grid, disp), JacobianMap(grid, jac)
+
+
+def pullback(rm: RadialMap, center,
+             grid: GridGeometry) -> tuple[VectorField, JacobianMap]:
+    """The phantom's pullback of rm about any center: the displacement g
+    with z - g(z) = inverse of the radial map and its analytic Jacobian
+    1 / J(map^{-1}(r)), solved once per distinct radius as each phantom
+    week is."""
+    offsets, r = _radius_grid(grid, center)
+    return _pullback(rm, grid, offsets, *_distinct(r))
 
 
 def voxelwise_pullback(rm: RadialMap, center,

@@ -32,7 +32,6 @@ from defield.phantom import (
     RadialComponent,
     RadialMap,
     grid_center,
-    pullback,
     synth_cohort,
     synth_course,
 )
@@ -51,7 +50,7 @@ from defield.stats import (
     pooled_t_test,
     summarize,
 )
-from oracles import affine_field, blob_volume, mean_norm, radial_gaussian_field
+from oracles import affine_field, blob_volume, mean_norm, pullback, radial_gaussian_field
 
 
 @contextmanager

@@ -288,6 +288,15 @@ def test_register_is_idempotent(phantom_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# sha256 of the artifacts test_classify_pipeline's run writes
+CLASSIFY_SHA256 = {
+    "report.json": "dfa3261bc076efacc5b92ee06c896c19830fe9041e0b897443b9c5d284bf0d6f",
+    "decisions.csv": "a81ecaed826aa1eb04002d17a9fb60de20473a95263a74252084781f714afe52",
+    "tables.csv": "2a09b5b3543aa7fb83f3d929112290b2246f8028d47b233bd5a6b01d5d14024e",
+    "boxplot.csv": "abcc8b3a76b867e0e2eb143d1f8f332c000fed5d1730a74582381d4921df3357",
+}
+
+
 def test_classify_pipeline(phantom_dir, tmp_path, capsys):
     out = tmp_path / "cls"
     code = main(["classify", "--manifest", str(phantom_dir / "manifest.csv"),
@@ -315,6 +324,8 @@ def test_classify_pipeline(phantom_dir, tmp_path, capsys):
     box = (out / "boxplot.csv").read_text().splitlines()
     assert box[0] == "group,region,n,mean,median,q1,q3,whisker_lo98,whisker_hi98"
     assert any(line.startswith("PR,") for line in box[1:])
+    for name, want in CLASSIFY_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
 def test_classify_empty_masks_warns_but_succeeds(tmp_path, capsys):
@@ -658,6 +669,7 @@ MALFORMED_VOL = [
      "bad COMPONENTS"),
     ("components-2", lambda raw: raw.replace(b"DTYPE", b"COMPONENTS 2\nDTYPE", 1), 1.0,
      "only COMPONENTS 3 supported"),
+    ("two-dims", lambda raw: raw.replace(b"DIMS 4 4 4", b"DIMS 4 4"), 1.0, "bad geometry"),
 ]
 
 
@@ -680,6 +692,7 @@ def test_malformed_vol_header_exits_format(tmp_path, capsys, edit, fill, message
     assert code == EXIT_FORMAT
     assert record["error"] == "format-error"
     assert message in record["message"]
+    assert not (tmp_path / "out").exists()
     # a header is rejected before any grid is allocated (10^15 voxels here)
     assert peak < 1 << 20
 
@@ -797,7 +810,8 @@ PHANTOM_ARGS = {"--grid": "24", "--radius": "6", "--weeks": "2"}
 @pytest.mark.parametrize("flag, value", [
     ("--radius", "nan"), ("--noise-sd", "nan"), ("--amplitude", "inf"),
     ("--seed", "-1"), ("--grid", "abc"), ("--patients", "abc"), ("--weeks", "2.5"),
-    ("--recist", "XX"), ("--mode", "foo")])
+    ("--recist", "XX"), ("--mode", "foo"), ("--amplitude", "-1"), ("--noise-sd", "-1"),
+    ("--patients", "0")])
 def test_bad_phantom_value_is_invalid_input(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     argv = [a for item in {**PHANTOM_ARGS, flag: value}.items() for a in item]
@@ -950,6 +964,25 @@ def test_negative_bootstrap_seed_is_invalid_input(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert code == EXIT_INVALID
     assert "bootstrap_seed must be >= 0" in record["message"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("stats", "--confidence-level", "1", "confidence_level must be in (0, 1)"),
+    ("register", "--pyramid-levels", "0", "pyramid_levels must be >= 1"),
+    ("register", "--iterations-per-level", "0", "iterations_per_level must be >= 1"),
+    ("register", "--lcc-sigma", "0", "lcc_sigma must be > 0"),
+    ("register", "--fluid-sigma", "-1", "smoothing sigmas must be >= 0"),
+    ("register", "--exp-steps", "0", "exp_steps must be >= 1"),
+    ("register", "--convergence-tol", "-1", "convergence_tol must be >= 0")])
+def test_out_of_range_config_value_is_invalid_input(tmp_path, capsys, command, flag,
+                                                     value, message):
+    out = tmp_path / "out"
+    code = main([command, *INPUTS[command], f"{flag}={value}", "--out", str(out)])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_INVALID
+    assert record["error"] == "invalid-input"
+    assert message in record["message"]
+    assert not out.exists()
 
 
 def test_non_utf8_config_is_invalid_input(tmp_path, capsys):

@@ -13,7 +13,6 @@ from defield.defanalysis import (
     LABEL_U,
     JacobianMap,
     RegionSamples,
-    _gather,
     _slab_determinant,
     collect_samples,
     jacobian_map,
@@ -258,7 +257,7 @@ class TestCollectSamples:
         part = partition_regions(Mask(g, (rng.random(g.dims) < 0.4).astype(np.uint8)),
                                  Mask(g, (rng.random(g.dims) < 0.4).astype(np.uint8)))
         jm = JacobianMap(g, rng.uniform(0.5, 2.0, g.dims).astype(np.float32))
-        s = _gather(jm, part, dtype)
+        s = collect_samples(jm, part, dtype)
         for region, code in zip("URGN", (LABEL_U, LABEL_R, LABEL_G, LABEL_N)):
             expected = jm.data[INTERIOR][part.labels[INTERIOR] == code].astype(dtype)
             assert s.samples[region].dtype == dtype

@@ -19,11 +19,10 @@ from defield.phantom import (
     RadialMap,
     _radius_grid,
     grid_center,
-    pullback,
     synth_cohort,
     synth_course,
 )
-from oracles import affine_field, radial_gaussian_field, voxelwise_pullback
+from oracles import affine_field, pullback, radial_gaussian_field, voxelwise_pullback
 
 G32 = GridGeometry((32, 32, 32))
 C32 = grid_center(G32)

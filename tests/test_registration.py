@@ -26,7 +26,6 @@ from defield.phantom import (
     PhantomSpec,
     RadialComponent,
     RadialMap,
-    pullback,
     synth_cohort,
 )
 from defield.registration import (
@@ -41,7 +40,7 @@ from defield.registration import (
     register,
     save_transform,
 )
-from oracles import blob_volume, full_volume, mean_norm
+from oracles import blob_volume, full_volume, mean_norm, pullback
 
 G24 = GridGeometry((24, 24, 24))
 
